@@ -88,7 +88,7 @@ let bench_reuse_math =
 let bench_placement =
   Test.make ~name:"simulated-annealing-placement"
     (let compiled = compiled_pipeline () in
-     let mapping = Pipeline.mapping_one_to_one compiled in
+     let mapping = Plan.mapping compiled ~policy:Plan.One_to_one in
      let an = compiled.Pipeline.analysis in
      Staged.stage @@ fun () -> ignore (Placement.place an mapping))
 
@@ -191,7 +191,7 @@ let metrics_snapshot () =
       ~observer:(Instrument.observer obs)
       ~channel_observer:(Instrument.channel_observer obs)
       ~graph:compiled.Pipeline.graph
-      ~mapping:(Pipeline.mapping_greedy compiled)
+      ~mapping:(Plan.mapping compiled ~policy:Plan.Greedy)
       ~machine:compiled.Pipeline.machine ()
   in
   Instrument.finalize obs ~result;

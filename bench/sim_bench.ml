@@ -107,8 +107,8 @@ let time_engine fx ~greedy ~engine =
     let inst = fx.build () in
     let compiled = Pipeline.compile ~machine:fx.machine inst.App.graph in
     let mapping =
-      if greedy then Pipeline.mapping_greedy compiled
-      else Pipeline.mapping_one_to_one compiled
+      if greedy then Plan.mapping compiled ~policy:Plan.Greedy
+      else Plan.mapping compiled ~policy:Plan.One_to_one
     in
     (compiled.Pipeline.graph, mapping)
   in

@@ -379,6 +379,12 @@ let simulate_cmd =
                 /. float_of_int acquires)
           p.Bp_image.Pool.hits p.Bp_image.Pool.misses p.Bp_image.Pool.live
       | None -> ", pool off");
+    Format.printf "engine: %s@."
+      (Plan.engine_mode compiled ~static:(not no_static)
+         ~observed:
+           (Option.is_some observer || Option.is_some obs
+          || Option.is_some hlt)
+         result);
     if result.Sim.static_regions > 0 then
       Format.printf
         "static: %d regions, %d table-matched firings (%d slot-indexed), \

@@ -53,28 +53,37 @@ let threshold_kernel ~initial () =
     ~methods ~make_behaviour ~state_words:1 ()
 
 (* A source variant that injects the retune token after each frame: it
-   wraps the pixel stream and emits the user token right after EOF. *)
+   wraps the pixel stream and emits the user token right after EOF. A
+   hand-written kernel states its firing rules once — inputs popped, the
+   output space it needs, a guard on private state and one body — and
+   [Behaviour.of_rules] derives the simulator's step, its decline oracle
+   and its slot-indexed path from them. Ports are addressed by ordinal,
+   in declaration order. *)
 let retuning_forward () =
   let make_behaviour () =
     let frame_idx = ref 0 in
-    let try_step (io : Behaviour.io) =
-      match io.peek "in" with
-      | None -> None
-      | Some _ ->
-        if io.space "out" < 2 then None
-        else begin
-          let item = io.pop "in" in
-          io.push "out" item;
-          (match item with
-          | Item.Ctl tok when tok.Token.kind = Token.End_of_frame ->
-            io.push "out" (Item.ctl (Token.user "retune" !frame_idx));
-            incr frame_idx
-          | _ -> ());
-          Some { Behaviour.method_name = "forward"; cycles = 1 }
-        end
-    in
-    let starved (io : Behaviour.io) = not (io.has_input "in") in
-    Behaviour.v ~starved try_step
+    Behaviour.of_rules
+      ~port_order:([ "in" ], [ "out" ])
+      [
+        One
+          {
+            name = "forward";
+            cycles = 1;
+            pops = [| (0, Behaviour.k_any) |];
+            outs = [| 0 |];
+            need = 2;
+            guard = Behaviour.always;
+            fire =
+              (fun p ->
+                let item = p.ix_pop 0 in
+                p.ix_push 0 item;
+                match item with
+                | Item.Ctl tok when tok.Token.kind = Token.End_of_frame ->
+                  p.ix_push 0 (Item.ctl (Token.user "retune" !frame_idx));
+                  incr frame_idx
+                | _ -> ());
+          };
+      ]
   in
   Kernel.v ~class_name:"Retune Injector" ~role:Kernel.Replicate
     ~parallelization:Kernel.Serial

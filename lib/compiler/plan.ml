@@ -70,6 +70,15 @@ let run_plan ?max_time_s ?max_events ?pool ?chunk_pool
     ?channel_observer ?state_observer ?static_schedule ~graph:t.graph
     ~mapping:m.mapping ~machine:t.machine ()
 
+let engine_mode t ~static ~observed (r : Sim.result) =
+  if r.Sim.static_regions > 0 then "quasi-static"
+  else
+    Printf.sprintf "event-driven (%s)"
+      (if not static then "--no-static"
+       else if observed then "observer attached"
+       else if t.schedule.Static_schedule.truncated then "schedule truncated"
+       else "no periodic table")
+
 (* ---- rendering --------------------------------------------------------- *)
 
 let pp_summary ppf t =

@@ -11,9 +11,8 @@
     report], {!Bp_obs}) read the plan instead of re-deriving any of it.
 
     {!run_plan} is the execution entry that consumes a plan (re-exported
-    as [Sim.run_plan] by the [Block_parallel] façade); the pre-plan
-    [Pipeline.simulate] path is kept and held bit-exact by the
-    differential tests. *)
+    as [Sim.run_plan] by the [Block_parallel] façade) — the only one: the
+    mappings it runs are the plan's, never re-derived. *)
 
 type policy = One_to_one | Greedy
 (** The kernel-to-processor mapping policy (Section V): one PE per
@@ -125,6 +124,15 @@ val run_plan :
     event-driven dispatch. Results are bit-identical either way —
     [events_processed] included, elided wakes are counted — except for
     the [static_*] telemetry fields; see {!Bp_sim.Sim.run}. *)
+
+val engine_mode :
+  t -> static:bool -> observed:bool -> Bp_sim.Sim.result -> string
+(** Which dispatch engine produced a {!run_plan} result, and why:
+    ["quasi-static"], or ["event-driven (R)"] with R one of ["--no-static"]
+    ([static] was [false]), ["observer attached"] ([observed]: an observer
+    was passed), ["schedule truncated"] (the recorder hit its cap) or
+    ["no periodic table"] (no kernel has a steady-state period, so no
+    static region exists). *)
 
 (** {1 Rendering} *)
 

@@ -4,20 +4,6 @@ module Image = Bp_image.Image
 module Token = Bp_token.Token
 module Err = Bp_util.Err
 
-(* Interned success values: a fresh [Some fired] per firing would be
-   a steady five-word allocation on the simulator's hottest path. *)
-let fired_emitWindow =
-  Some { Behaviour.method_name = "emitWindow"; cycles = Costs.buffer_store }
-let fired_storeBlock =
-  Some { Behaviour.method_name = "storeBlock"; cycles = Costs.buffer_store }
-let fired_consumeEol =
-  Some { Behaviour.method_name = "consumeEol"; cycles = 1 }
-let fired_consumeEof =
-  Some { Behaviour.method_name = "consumeEof"; cycles = 2 }
-let fired_forwardUser =
-  Some { Behaviour.method_name = "forwardUser"; cycles = 1 }
-
-
 type config = {
   in_block : Size.t;
   out_window : Window.t;
@@ -93,8 +79,8 @@ let spec ?class_name cfg =
     (* Is the next pending output window fully arrived? Scan-line arrival
        means availability reduces to: has the block containing the window's
        bottom-right pixel arrived. The block index is memoized in
-       [st.need_block] — this test sits inside the static executor's
-       starvation oracle, so it runs on every attempt. *)
+       [st.need_block] — this test is the guard of every rule, so it runs
+       on every attempt. *)
     let update_need_block () =
       let ox = st.wx * sx and oy = st.wy * sy in
       let last_x = ox + win.Size.w - 1 and last_y = oy + win.Size.h - 1 in
@@ -127,177 +113,101 @@ let spec ?class_name cfg =
         Array.blit src (j * bw) st.store.(slot) (bx * bw) bw
       done
     in
-    let try_step (io : Behaviour.io) =
-      (* Emit-first: drain pending windows before accepting more input so
-         the circular store never needs more than its sized capacity. *)
-      if window_available () then begin
-        if io.space "out" < 3 then None
-        else begin
-          let ox = st.wx * sx and oy = st.wy * sy in
-          let out = io.acquire win in
-          let out_d = Image.unsafe_data out in
-          for y = 0 to win.Size.h - 1 do
-            let slot = checked_slot (oy + y) in
-            Array.blit st.store.(slot) ox out_d (y * win.Size.w) win.Size.w
-          done;
-          io.push "out" (Item.data out);
-          let end_of_row = st.wx = iter.Size.w - 1 in
-          let end_of_frame = end_of_row && st.wy = iter.Size.h - 1 in
-          if end_of_row && cfg.emit_eol && not end_of_frame then
-            io.push "out" (Item.ctl (Token.eol st.wy));
-          if end_of_frame then begin
-            if cfg.emit_eol then io.push "out" (Item.ctl (Token.eol st.wy));
-            io.push "out" (Item.ctl (Token.eof st.frame_idx));
-            st.wx <- 0;
-            st.wy <- iter.Size.h (* frame complete; wait for input EOF *)
-          end
-          else if end_of_row then begin
-            st.wx <- 0;
-            st.wy <- st.wy + 1
-          end
-          else st.wx <- st.wx + 1;
-          if st.wy < iter.Size.h then update_need_block ();
-          fired_emitWindow
-        end
+    let emit_window (p : Behaviour.ports) =
+      let ox = st.wx * sx and oy = st.wy * sy in
+      let out = p.ix_acquire win in
+      let out_d = Image.unsafe_data out in
+      for y = 0 to win.Size.h - 1 do
+        let slot = checked_slot (oy + y) in
+        Array.blit st.store.(slot) ox out_d (y * win.Size.w) win.Size.w
+      done;
+      p.ix_push 0 (Item.data out);
+      let end_of_row = st.wx = iter.Size.w - 1 in
+      let end_of_frame = end_of_row && st.wy = iter.Size.h - 1 in
+      if end_of_row && cfg.emit_eol && not end_of_frame then
+        p.ix_push 0 (Item.ctl (Token.eol st.wy));
+      if end_of_frame then begin
+        if cfg.emit_eol then p.ix_push 0 (Item.ctl (Token.eol st.wy));
+        p.ix_push 0 (Item.ctl (Token.eof st.frame_idx));
+        st.wx <- 0;
+        st.wy <- iter.Size.h (* frame complete; wait for input EOF *)
       end
-      else
-        match io.peek "in" with
-        | None -> None
-        | Some (Item.Data _) ->
-          let img = Behaviour.pop_data io "in" in
-          if not (Size.equal (Image.size img) cfg.in_block) then
-            Err.graphf "buffer %s: bad input block %s" class_name
-              (Size.to_string (Image.size img));
-          let bx = st.blocks_in mod blocks_per_row
-          and by = st.blocks_in / blocks_per_row in
-          store_block ~bx ~by img;
-          io.release img;
-          st.blocks_in <- st.blocks_in + 1;
-          fired_storeBlock
-        | Some (Item.Ctl tok) -> (
-          match tok.Token.kind with
-          | Token.End_of_line ->
-            ignore (io.pop "in");
-            fired_consumeEol
-          | Token.End_of_frame ->
-            (* Only consume the input EOF once every window of the frame
-               has been emitted (window_available is false and the cursor
-               is past the last row). *)
-            if st.wy < iter.Size.h then None
-            else begin
-              ignore (io.pop "in");
-              st.blocks_in <- 0;
-              st.wx <- 0;
-              st.wy <- 0;
-              st.frame_idx <- st.frame_idx + 1;
-              Array.fill st.row_ids 0 r (-1);
-              update_need_block ();
-              fired_consumeEof
-            end
-          | Token.User _ ->
-            (* Forward user tokens in order with the data. *)
-            if io.space "out" < 1 then None
-            else begin
-              ignore (io.pop "in");
-              io.push "out" (Item.ctl tok);
-              fired_forwardUser
-            end)
+      else if end_of_row then begin
+        st.wx <- 0;
+        st.wy <- st.wy + 1
+      end
+      else st.wx <- st.wx + 1;
+      if st.wy < iter.Size.h then update_need_block ()
     in
-    (* Exact decline oracle: with no pending window, every branch of
-       [try_step] starts from the input front — so an empty input means a
-       guaranteed decline. With a window pending the buffer may self-fire
-       (emit needs only output space), so it must be re-attempted. *)
-    let starved (io : Behaviour.io) =
-      (not (window_available ())) && not (io.has_input "in")
+    let store (p : Behaviour.ports) =
+      let img = Item.chunk_exn (p.ix_pop 0) in
+      if not (Size.equal (Image.size img) cfg.in_block) then
+        Err.graphf "buffer %s: bad input block %s" class_name
+          (Size.to_string (Image.size img));
+      let bx = st.blocks_in mod blocks_per_row
+      and by = st.blocks_in / blocks_per_row in
+      store_block ~bx ~by img;
+      p.ix_release img;
+      st.blocks_in <- st.blocks_in + 1
     in
-    (* Slot-indexed twin of [try_step], one op per firing shape. Each op
-       re-checks the private-state preconditions the generic path consults
-       (emit-first ordering, frame-complete EOF gate) and declines with
-       [None] — mutation-free — when they do not hold, so the engine can
-       fall back to the generic attempt. Fronts, item kinds, and the
-       3-slot emit space are pre-checked by the engine. *)
-    let op_of ~method_name ~pops:_ ~pushes:_ =
-      match method_name with
-      | "emitWindow" -> 0
-      | "storeBlock" -> 1
-      | "consumeEol" -> 2
-      | "consumeEof" -> 3
-      | _ -> -1
+    let reset (p : Behaviour.ports) =
+      ignore (p.ix_pop 0);
+      st.blocks_in <- 0;
+      st.wx <- 0;
+      st.wy <- 0;
+      st.frame_idx <- st.frame_idx + 1;
+      Array.fill st.row_ids 0 r (-1);
+      update_need_block ()
     in
-    let emit_outs = [| 0 |] and no_outs = [||] in
-    let space_need _ = 3 in
-    let space_outs op = if op = 0 then emit_outs else no_outs in
-    let fire_indexed (ports : Behaviour.ports) op =
-      match op with
-      | 0 ->
-        if not (window_available ()) then None
-        else begin
-          let ox = st.wx * sx and oy = st.wy * sy in
-          let out = ports.ix_acquire win in
-          let out_d = Image.unsafe_data out in
-          for y = 0 to win.Size.h - 1 do
-            let slot = checked_slot (oy + y) in
-            Array.blit st.store.(slot) ox out_d (y * win.Size.w) win.Size.w
-          done;
-          ports.ix_push 0 (Item.data out);
-          let end_of_row = st.wx = iter.Size.w - 1 in
-          let end_of_frame = end_of_row && st.wy = iter.Size.h - 1 in
-          if end_of_row && cfg.emit_eol && not end_of_frame then
-            ports.ix_push 0 (Item.ctl (Token.eol st.wy));
-          if end_of_frame then begin
-            if cfg.emit_eol then
-              ports.ix_push 0 (Item.ctl (Token.eol st.wy));
-            ports.ix_push 0 (Item.ctl (Token.eof st.frame_idx));
-            st.wx <- 0;
-            st.wy <- iter.Size.h
-          end
-          else if end_of_row then begin
-            st.wx <- 0;
-            st.wy <- st.wy + 1
-          end
-          else st.wx <- st.wx + 1;
-          if st.wy < iter.Size.h then update_need_block ();
-          fired_emitWindow
-        end
-      | 1 -> (
-        if window_available () then None
-        else
-          match ports.ix_pop 0 with
-          | Item.Data img ->
-            if not (Size.equal (Image.size img) cfg.in_block) then
-              Err.graphf "buffer %s: bad input block %s" class_name
-                (Size.to_string (Image.size img));
-            let bx = st.blocks_in mod blocks_per_row
-            and by = st.blocks_in / blocks_per_row in
-            store_block ~bx ~by img;
-            ports.ix_release img;
-            st.blocks_in <- st.blocks_in + 1;
-            fired_storeBlock
-          | Item.Ctl _ ->
-            Err.graphf "buffer %s: indexed storeBlock popped a token"
-              class_name)
-      | 2 ->
-        if window_available () then None
-        else begin
-          ignore (ports.ix_pop 0);
-          fired_consumeEol
-        end
-      | 3 ->
-        if window_available () || st.wy < iter.Size.h then None
-        else begin
-          ignore (ports.ix_pop 0);
-          st.blocks_in <- 0;
-          st.wx <- 0;
-          st.wy <- 0;
-          st.frame_idx <- st.frame_idx + 1;
-          Array.fill st.row_ids 0 r (-1);
-          update_need_block ();
-          fired_consumeEof
-        end
-      | _ -> None
+    (* Emit-first: drain pending windows before accepting more input so the
+       circular store never needs more than its sized capacity. *)
+    let input_turn _ = not (window_available ()) in
+    let consume kinds name cycles ~guard fire =
+      Behaviour.One
+        {
+          name;
+          cycles;
+          pops = [| (0, kinds) |];
+          outs = [||];
+          need = 0;
+          guard;
+          fire;
+        }
     in
-    let indexed = { Behaviour.op_of; space_need; space_outs; fire_indexed } in
-    Behaviour.v ~starved ~indexed try_step
+    Behaviour.of_rules
+      ~port_order:([ "in" ], [ "out" ])
+      [
+        One
+          {
+            name = "emitWindow";
+            cycles = Costs.buffer_store;
+            pops = [||];
+            outs = [| 0 |];
+            need = 3;
+            guard = (fun _ -> window_available ());
+            fire = emit_window;
+          };
+        consume Behaviour.k_data "storeBlock" Costs.buffer_store
+          ~guard:input_turn store;
+        consume Behaviour.k_eol "consumeEol" 1 ~guard:input_turn (fun p ->
+            ignore (p.ix_pop 0));
+        (* The input EOF is consumed only once every window of the frame
+           has been emitted (the cursor is past the last row). *)
+        consume Behaviour.k_eof "consumeEof" 2
+          ~guard:(fun p -> input_turn p && st.wy >= iter.Size.h)
+          reset;
+        (* User tokens are forwarded in order with the data. *)
+        One
+          {
+            name = "forwardUser";
+            cycles = 1;
+            pops = [| (0, Behaviour.k_user) |];
+            outs = [| 0 |];
+            need = 1;
+            guard = input_turn;
+            fire = (fun p -> p.ix_push 0 (p.ix_pop 0));
+          };
+      ]
   in
   Spec.v ~role:Spec.Buffer ~class_name ~state_words:(storage_words cfg)
     ~parallelization:Spec.Serial

@@ -3,18 +3,6 @@ open Bp_geometry
 module Image = Bp_image.Image
 module Err = Bp_util.Err
 
-(* Interned success values: a fresh [Some fired] per firing would be
-   a steady five-word allocation on the simulator's hottest path. *)
-let fired_emitInitial =
-  Some { Behaviour.method_name = "emitInitial"; cycles = 1 }
-let fired_forward =
-  Some { Behaviour.method_name = "forward"; cycles = 1 }
-let fired_dropToken =
-  Some { Behaviour.method_name = "dropToken"; cycles = 1 }
-let fired_forwardToken =
-  Some { Behaviour.method_name = "forwardToken"; cycles = 1 }
-
-
 let init ?(class_name = "Loop Init") ~window ~initial () =
   List.iter
     (fun img ->
@@ -25,71 +13,46 @@ let init ?(class_name = "Loop Init") ~window ~initial () =
     initial;
   let make_behaviour () =
     let pending = ref (List.map Image.copy initial) in
-    let try_step (io : Behaviour.io) =
-      match !pending with
-      | chunk :: rest ->
-        if io.space "out" < 1 then None
-        else begin
-          io.push "out" (Item.data chunk);
-          pending := rest;
-          fired_emitInitial
-        end
-      | [] -> (
-        match io.peek "in" with
-        | None -> None
-        | Some (Item.Data _) ->
-          if io.space "out" < 1 then None
-          else begin
-            io.push "out" (Item.data (Behaviour.pop_data io "in"));
-            fired_forward
-          end
-        | Some (Item.Ctl _) ->
-          (* Tokens do not recirculate around the loop. *)
-          ignore (io.pop "in");
-          fired_dropToken)
-    in
     (* Self-driven while initial chunks remain; input-driven after. *)
-    let starved (io : Behaviour.io) =
-      !pending = [] && not (io.has_input "in")
-    in
-    (* Slot-indexed twin: op 0 emits a queued initial chunk, op 1 forwards
-       a data chunk, op 2 drops a token. Ops 1 and 2 re-check that no
-       initial chunk is pending (the generic path emits those first). *)
-    let one_out = [| 0 |] and no_outs = [||] in
-    let op_of ~method_name ~pops:_ ~pushes:_ =
-      match method_name with
-      | "emitInitial" -> 0
-      | "forward" -> 1
-      | "dropToken" -> 2
-      | _ -> -1
-    in
-    let space_need _ = 1 in
-    let space_outs op = if op = 2 then no_outs else one_out in
-    let fire_indexed (ports : Behaviour.ports) op =
-      match op with
-      | 0 -> (
-        match !pending with
-        | chunk :: rest ->
-          ports.ix_push 0 (Item.data chunk);
-          pending := rest;
-          fired_emitInitial
-        | [] -> None)
-      | 1 ->
-        if !pending <> [] then None
-        else begin
-          ports.ix_push 0 (Item.data (Item.chunk_exn (ports.ix_pop 0)));
-          fired_forward
-        end
-      | 2 ->
-        if !pending <> [] then None
-        else begin
-          ignore (ports.ix_pop 0);
-          fired_dropToken
-        end
-      | _ -> None
-    in
-    let indexed = { Behaviour.op_of; space_need; space_outs; fire_indexed } in
-    Behaviour.v ~starved ~indexed try_step
+    let drained _ = match !pending with [] -> true | _ :: _ -> false in
+    Behaviour.of_rules
+      ~port_order:([ "in" ], [ "out" ])
+      [
+        One
+          {
+            name = "emitInitial";
+            cycles = 1;
+            pops = [||];
+            outs = [| 0 |];
+            need = 1;
+            guard = (fun p -> not (drained p));
+            fire =
+              (fun p ->
+                p.ix_push 0 (Item.data (List.hd !pending));
+                pending := List.tl !pending);
+          };
+        One
+          {
+            name = "forward";
+            cycles = 1;
+            pops = [| (0, Behaviour.k_data) |];
+            outs = [| 0 |];
+            need = 1;
+            guard = drained;
+            fire = (fun p -> p.ix_push 0 (p.ix_pop 0));
+          };
+        (* Tokens do not recirculate around the loop. *)
+        One
+          {
+            name = "dropToken";
+            cycles = 1;
+            pops = [| (0, Behaviour.k_token) |];
+            outs = [||];
+            need = 0;
+            guard = drained;
+            fire = (fun p -> ignore (p.ix_pop 0));
+          };
+      ]
   in
   Spec.v ~role:Spec.Replicate ~class_name ~parallelization:Spec.Serial
     ~state_words:(Size.area window.Window.size * max 1 (List.length initial))
@@ -98,72 +61,47 @@ let init ?(class_name = "Loop Init") ~window ~initial () =
     ~methods:[] ~make_behaviour ()
 
 let loop_combine ?(class_name = "Loop Combine") ?(cycles = 4) f =
-  let fired_combine = Some { Behaviour.method_name = "combine"; cycles } in
   let make_behaviour () =
-    let try_step (io : Behaviour.io) =
-      match io.peek "in0" with
-      | None -> None
-      | Some (Item.Ctl tok) ->
+    Behaviour.of_rules
+      ~port_order:([ "in0"; "in1" ], [ "out" ])
+      [
+        One
+          {
+            name = "combine";
+            cycles;
+            pops = [| (0, Behaviour.k_data); (1, Behaviour.k_any) |];
+            outs = [| 0 |];
+            need = 1;
+            guard = Behaviour.always;
+            fire =
+              (fun p ->
+                let a = Item.chunk_exn (p.ix_pop 0) in
+                let b =
+                  match p.ix_pop 1 with
+                  | Item.Data b -> b
+                  | Item.Ctl _ ->
+                    Err.graphf "%s: unexpected token on the feedback input"
+                      class_name
+                in
+                let out = p.ix_acquire (Image.size a) in
+                Image.map2_into f a b ~dst:out;
+                p.ix_push 0 (Item.data out);
+                p.ix_release a;
+                p.ix_release b);
+          };
         (* Forward-path tokens pass straight through; the feedback input
            carries none. *)
-        if io.space "out" < 1 then None
-        else begin
-          ignore (io.pop "in0");
-          io.push "out" (Item.ctl tok);
-          fired_forwardToken
-        end
-      | Some (Item.Data _) -> (
-        match io.peek "in1" with
-        | Some (Item.Data _) when io.space "out" >= 1 ->
-          let a = Behaviour.pop_data io "in0" in
-          let b = Behaviour.pop_data io "in1" in
-          let out = io.acquire (Image.size a) in
-          Image.map2_into f a b ~dst:out;
-          io.push "out" (Item.data out);
-          io.release a;
-          io.release b;
-          fired_combine
-        | Some (Item.Ctl _) ->
-          Err.graphf "%s: unexpected token on the feedback input" class_name
-        | Some (Item.Data _) | None -> None)
-    in
-    (* Every branch starts from the in0 front, so an empty in0 is a
-       guaranteed decline (in1 alone can never trigger a firing). *)
-    let starved (io : Behaviour.io) = not (io.has_input "in0") in
-    (* Slot-indexed twin: both ops are fully guarded by the engine (front
-       kinds on in0/in1 plus one slot of output space) — no private state
-       to re-check. *)
-    let one_out = [| 0 |] in
-    let op_of ~method_name ~pops:_ ~pushes:_ =
-      match method_name with
-      | "combine" -> 0
-      | "forwardToken" -> 1
-      | _ -> -1
-    in
-    let space_need _ = 1 in
-    let space_outs _ = one_out in
-    let fire_indexed (ports : Behaviour.ports) op =
-      match op with
-      | 0 ->
-        let a = Item.chunk_exn (ports.ix_pop 0) in
-        let b = Item.chunk_exn (ports.ix_pop 1) in
-        let out = ports.ix_acquire (Image.size a) in
-        Image.map2_into f a b ~dst:out;
-        ports.ix_push 0 (Item.data out);
-        ports.ix_release a;
-        ports.ix_release b;
-        fired_combine
-      | 1 -> (
-        match ports.ix_pop 0 with
-        | Item.Ctl tok ->
-          ports.ix_push 0 (Item.ctl tok);
-          fired_forwardToken
-        | Item.Data _ ->
-          Err.graphf "%s: indexed forwardToken popped a chunk" class_name)
-      | _ -> None
-    in
-    let indexed = { Behaviour.op_of; space_need; space_outs; fire_indexed } in
-    Behaviour.v ~starved ~indexed try_step
+        One
+          {
+            name = "forwardToken";
+            cycles = 1;
+            pops = [| (0, Behaviour.k_token) |];
+            outs = [| 0 |];
+            need = 1;
+            guard = Behaviour.always;
+            fire = (fun p -> p.ix_push 0 (p.ix_pop 0));
+          };
+      ]
   in
   let methods =
     [

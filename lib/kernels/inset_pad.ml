@@ -4,23 +4,15 @@ module Image = Bp_image.Image
 module Token = Bp_token.Token
 module Err = Bp_util.Err
 
-(* Interned success values: a fresh [Some fired] per firing would be
-   a steady five-word allocation on the simulator's hottest path. *)
-let fired_filter =
-  Some { Behaviour.method_name = "filter"; cycles = Costs.inset }
-let fired_consumeEol =
-  Some { Behaviour.method_name = "consumeEol"; cycles = 1 }
-let fired_emitEof =
-  Some { Behaviour.method_name = "emitEof"; cycles = 2 }
-let fired_forwardUser =
-  Some { Behaviour.method_name = "forwardUser"; cycles = 1 }
-let fired_consumeToken =
-  Some { Behaviour.method_name = "consumeToken"; cycles = 1 }
-let fired_emitPad =
-  Some { Behaviour.method_name = "emitPad"; cycles = Costs.pad }
-let fired_forward =
-  Some { Behaviour.method_name = "forward"; cycles = Costs.pad }
+(* A rule popping one item of [kinds] from "in". *)
+let on_in name cycles kinds ~outs ~need ~guard fire =
+  Behaviour.One
+    { name; cycles; pops = [| (0, kinds) |]; outs; need; guard; fire }
 
+(* User tokens pass through in order with the data. *)
+let forward_user =
+  on_in "forwardUser" 1 Behaviour.k_user ~outs:[| 0 |] ~need:1
+    ~guard:Behaviour.always (fun p -> p.ix_push 0 (p.ix_pop 0))
 
 let inset ?class_name ?(chunk = Window.pixel) ~grid ~left ~right ~top ~bottom
     () =
@@ -50,89 +42,33 @@ let inset ?class_name ?(chunk = Window.pixel) ~grid ~left ~right ~top ~bottom
         y := !y + 1
       end
     in
-    let try_step (io : Behaviour.io) =
-      match io.peek "in" with
-      | None -> None
-      | Some (Item.Data _) ->
-        let keep = keep_now () in
-        if keep && io.space "out" < 1 then None
-        else begin
-          let img = Behaviour.pop_data io "in" in
-          if keep then io.push "out" (Item.data img)
-          else io.release img;
-          advance_cursor ();
-          fired_filter
-        end
-      | Some (Item.Ctl tok) -> (
-        match tok.Token.kind with
-        | Token.End_of_line ->
-          ignore (io.pop "in");
-          fired_consumeEol
-        | Token.End_of_frame ->
-          if io.space "out" < 1 then None
-          else begin
-            ignore (io.pop "in");
-            io.push "out" (Item.ctl (Token.eof !frame_idx));
+    let filter (p : Behaviour.ports) =
+      let img = Item.chunk_exn (p.ix_pop 0) in
+      if keep_now () then p.ix_push 0 (Item.data img) else p.ix_release img;
+      advance_cursor ()
+    in
+    (* The two shapes of [filter]: drop (no push) is listed first, so that
+       a recorded firing that pushed nothing resolves to it, not to keep. *)
+    Behaviour.of_rules
+      ~port_order:([ "in" ], [ "out" ])
+      [
+        on_in "filter" Costs.inset Behaviour.k_data ~outs:[||] ~need:0
+          ~guard:(fun _ -> not (keep_now ()))
+          filter;
+        on_in "filter" Costs.inset Behaviour.k_data ~outs:[| 0 |] ~need:1
+          ~guard:(fun _ -> keep_now ())
+          filter;
+        on_in "consumeEol" 1 Behaviour.k_eol ~outs:[||] ~need:0
+          ~guard:Behaviour.always (fun p -> ignore (p.ix_pop 0));
+        on_in "emitEof" 2 Behaviour.k_eof ~outs:[| 0 |] ~need:1
+          ~guard:Behaviour.always (fun p ->
+            ignore (p.ix_pop 0);
+            p.ix_push 0 (Item.ctl (Token.eof !frame_idx));
             x := 0;
             y := 0;
-            incr frame_idx;
-            fired_emitEof
-          end
-        | Token.User _ ->
-          if io.space "out" < 1 then None
-          else begin
-            ignore (io.pop "in");
-            io.push "out" (Item.ctl tok);
-            fired_forwardUser
-          end)
-    in
-    let starved (io : Behaviour.io) = not (io.has_input "in") in
-    (* Slot-indexed twin. The two firing shapes of [filter] — keep (one
-       push) and drop (no push) — are distinct ops resolved from the
-       entry's push list; each re-checks the cursor's keep decision and
-       declines mutation-free on mismatch. *)
-    let op_of ~method_name ~pops:_ ~pushes =
-      match method_name with
-      | "filter" -> if Array.length pushes = 0 then 1 else 0
-      | "consumeEol" -> 2
-      | "emitEof" -> 3
-      | _ -> -1
-    in
-    let one_out = [| 0 |] and no_outs = [||] in
-    let space_need _ = 1 in
-    let space_outs op = if op = 0 || op = 3 then one_out else no_outs in
-    let fire_indexed (ports : Behaviour.ports) op =
-      match op with
-      | 0 ->
-        if not (keep_now ()) then None
-        else begin
-          let img = Item.chunk_exn (ports.ix_pop 0) in
-          ports.ix_push 0 (Item.data img);
-          advance_cursor ();
-          fired_filter
-        end
-      | 1 ->
-        if keep_now () then None
-        else begin
-          let img = Item.chunk_exn (ports.ix_pop 0) in
-          ports.ix_release img;
-          advance_cursor ();
-          fired_filter
-        end
-      | 2 ->
-        ignore (ports.ix_pop 0);
-        fired_consumeEol
-      | 3 ->
-        ignore (ports.ix_pop 0);
-        ports.ix_push 0 (Item.ctl (Token.eof !frame_idx));
-        x := 0;
-        y := 0;
-        incr frame_idx;
-        fired_emitEof
-      | _ -> None
-    in
-    let indexed = { Behaviour.op_of; space_need; space_outs; fire_indexed } in
-    Behaviour.v ~starved ~indexed try_step
+            incr frame_idx);
+        forward_user;
+      ]
   in
   Spec.v ~role:Spec.Inset ~class_name ~parallelization:Spec.Serial
     ~inputs:[ Port.input "in" chunk ]
@@ -158,137 +94,66 @@ let pad ?class_name ?(value = 0.) ~frame ~left ~right ~top ~bottom () =
       || !oy < top
       || !oy >= top + frame.Size.h
     in
-    let advance io =
-      let end_of_row = !ox = out_w - 1 in
-      let end_of_frame = end_of_row && !oy = out_h - 1 in
-      if end_of_row then begin
-        io.Behaviour.push "out" (Item.ctl (Token.eol !oy));
-        ox := 0;
-        if end_of_frame then begin
-          io.Behaviour.push "out" (Item.ctl (Token.eof !frame_idx));
-          oy := 0;
-          incr frame_idx
-        end
-        else oy := !oy + 1
-      end
-      else ox := !ox + 1;
-      end_of_frame
-    in
     let seen_input = ref false in
-    let try_step (io : Behaviour.io) =
-      match io.peek "in" with
-      (* Input tokens are informational here — the output schedule below
-         emits this kernel's own tokens for the padded geometry — so they
-         are consumed eagerly whenever they reach the front. *)
-      | Some (Item.Ctl { Token.kind = Token.End_of_line | Token.End_of_frame; _ })
-        ->
-        ignore (io.pop "in");
-        fired_consumeToken
-      | Some (Item.Ctl tok) ->
-        if io.space "out" < 1 then None
-        else begin
-          ignore (io.pop "in");
-          io.push "out" (Item.ctl tok);
-          fired_forwardUser
-        end
-      | (Some (Item.Data _) | None) as front ->
-        if io.space "out" < 3 then None
-        else if in_margin () then
-          (* Only emit margins of a frame whose data has started arriving,
-             otherwise an exhausted input would trigger margins of a frame
-             that never comes. *)
-          if !seen_input || front <> None then begin
-            let px = io.acquire Size.one in
-            Image.set px ~x:0 ~y:0 value;
-            io.push "out" (Item.data px);
-            if advance io then seen_input := false;
-            fired_emitPad
-          end
-          else None
-        else (
-          match front with
-          | None -> None
-          | Some _ ->
-            let img = Behaviour.pop_data io "in" in
-            seen_input := true;
-            io.push "out" (Item.data img);
-            if advance io then seen_input := false;
-            fired_forward)
-    in
-    (* The padder can self-fire margin pixels of an in-flight frame, so it
-       is only provably starved when the input is empty AND the cursor is
-       not on a margin position of a started frame. *)
-    let starved (io : Behaviour.io) =
-      (not (io.has_input "in")) && not (!seen_input && in_margin ())
-    in
-    (* Slot-indexed twin. [emitPad] has the one genuinely timing-sensitive
-       precondition in the stdlib: margins only fire for a frame whose data
-       has started arriving, and the recorder may have observed an input
-       front where the timed run has none — so the op re-checks
-       [seen_input || front present] (and that the front is not a token,
-       which the generic path would consume first) and declines
-       mutation-free on mismatch. *)
-    let advance_ix (ports : Behaviour.ports) =
+    let advance (p : Behaviour.ports) =
       let end_of_row = !ox = out_w - 1 in
       let end_of_frame = end_of_row && !oy = out_h - 1 in
       if end_of_row then begin
-        ports.ix_push 0 (Item.ctl (Token.eol !oy));
+        p.ix_push 0 (Item.ctl (Token.eol !oy));
         ox := 0;
         if end_of_frame then begin
-          ports.ix_push 0 (Item.ctl (Token.eof !frame_idx));
+          p.ix_push 0 (Item.ctl (Token.eof !frame_idx));
           oy := 0;
           incr frame_idx
         end
         else oy := !oy + 1
       end
       else ox := !ox + 1;
-      end_of_frame
+      if end_of_frame then seen_input := false
     in
-    let op_of ~method_name ~pops:_ ~pushes:_ =
-      match method_name with
-      | "consumeToken" -> 0
-      | "forward" -> 1
-      | "emitPad" -> 2
-      | _ -> -1
+    let front_is_token (p : Behaviour.ports) =
+      p.ix_has 0 && Item.is_ctl (p.ix_peek 0)
     in
-    let one_out = [| 0 |] and no_outs = [||] in
-    let space_need _ = 3 in
-    let space_outs op = if op = 0 then no_outs else one_out in
-    let fire_indexed (ports : Behaviour.ports) op =
-      match op with
-      | 0 ->
-        ignore (ports.ix_pop 0);
-        fired_consumeToken
-      | 1 ->
-        if in_margin () then None
-        else begin
-          let img = Item.chunk_exn (ports.ix_pop 0) in
-          seen_input := true;
-          ports.ix_push 0 (Item.data img);
-          if advance_ix ports then seen_input := false;
-          fired_forward
-        end
-      | 2 ->
-        let front_is_token =
-          ports.ix_has 0
-          &&
-          match ports.ix_peek 0 with
-          | Item.Ctl _ -> true
-          | Item.Data _ -> false
-        in
-        if front_is_token || not (in_margin ()) then None
-        else if !seen_input || ports.ix_has 0 then begin
-          let px = ports.ix_acquire Size.one in
-          Image.set px ~x:0 ~y:0 value;
-          ports.ix_push 0 (Item.data px);
-          if advance_ix ports then seen_input := false;
-          fired_emitPad
-        end
-        else None
-      | _ -> None
-    in
-    let indexed = { Behaviour.op_of; space_need; space_outs; fire_indexed } in
-    Behaviour.v ~starved ~indexed try_step
+    Behaviour.of_rules
+      ~port_order:([ "in" ], [ "out" ])
+      [
+        (* Input tokens are informational here — the output schedule
+           below emits this kernel's own tokens for the padded geometry —
+           so they are consumed eagerly whenever they reach the front. *)
+        on_in "consumeToken" 1
+          Behaviour.(k_eol lor k_eof)
+          ~outs:[||] ~need:0 ~guard:Behaviour.always
+          (fun p -> ignore (p.ix_pop 0));
+        forward_user;
+        (* Only emit margins of a frame whose data has started arriving,
+           otherwise an exhausted input would trigger margins of a frame
+           that never comes. *)
+        One
+          {
+            name = "emitPad";
+            cycles = Costs.pad;
+            pops = [||];
+            outs = [| 0 |];
+            need = 3;
+            guard =
+              (fun p ->
+                in_margin ()
+                && (not (front_is_token p))
+                && (!seen_input || p.ix_has 0));
+            fire =
+              (fun p ->
+                let px = p.ix_acquire Size.one in
+                Image.set px ~x:0 ~y:0 value;
+                p.ix_push 0 (Item.data px);
+                advance p);
+          };
+        on_in "forward" Costs.pad Behaviour.k_data ~outs:[| 0 |] ~need:3
+          ~guard:(fun _ -> not (in_margin ()))
+          (fun p ->
+            p.ix_push 0 (p.ix_pop 0);
+            seen_input := true;
+            advance p);
+      ]
   in
   Spec.v ~role:Spec.Pad ~class_name ~parallelization:Spec.Serial
     ~inputs:[ Port.input "in" Window.pixel ]

@@ -1,12 +1,6 @@
 open Bp_kernel
 module Token = Bp_token.Token
 
-(* Interned success values: a fresh [Some fired] per firing would be
-   a steady five-word allocation on the simulator's hottest path. *)
-let fired_consume =
-  Some { Behaviour.method_name = "consume"; cycles = 0 }
-
-
 type collector = {
   mutable closed_groups : Bp_image.Image.t list list;  (* newest first *)
   mutable current_group : Bp_image.Image.t list;  (* newest first *)
@@ -39,22 +33,29 @@ let eof_count c =
 let spec ?(class_name = "Output") ~window c () =
   let make_behaviour () =
     reset c;
-    let try_step (io : Behaviour.io) =
-      match io.peek "in" with
-      | None -> None
-      | Some _ ->
-        (match io.pop "in" with
-        | Item.Data img -> c.current_group <- img :: c.current_group
-        | Item.Ctl tok ->
-          c.tokens_rev <- tok :: c.tokens_rev;
-          if tok.Token.kind = Token.End_of_frame then begin
-            c.closed_groups <- c.current_group :: c.closed_groups;
-            c.current_group <- []
-          end);
-        fired_consume
-    in
-    let starved (io : Behaviour.io) = not (io.has_input "in") in
-    Behaviour.v ~starved try_step
+    Behaviour.of_rules
+      ~port_order:([ "in" ], [])
+      [
+        One
+          {
+            name = "consume";
+            cycles = 0;
+            pops = [| (0, Behaviour.k_any) |];
+            outs = [||];
+            need = 0;
+            guard = Behaviour.always;
+            fire =
+              (fun p ->
+                match p.ix_pop 0 with
+                | Item.Data img -> c.current_group <- img :: c.current_group
+                | Item.Ctl tok ->
+                  c.tokens_rev <- tok :: c.tokens_rev;
+                  if tok.Token.kind = Token.End_of_frame then begin
+                    c.closed_groups <- c.current_group :: c.closed_groups;
+                    c.current_group <- []
+                  end);
+          };
+      ]
   in
   Spec.v ~role:Spec.Sink ~class_name
     ~inputs:[ Port.input "in" window ]

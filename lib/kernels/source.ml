@@ -3,12 +3,6 @@ open Bp_geometry
 module Image = Bp_image.Image
 module Token = Bp_token.Token
 
-(* Interned success values: a fresh [Some fired] per firing would be
-   a steady five-word allocation on the simulator's hottest path. *)
-let fired_emit =
-  Some { Behaviour.method_name = "emit"; cycles = 0 }
-
-
 let emissions_per_frame ~frame = Size.area frame
 
 (* The worst-case burst of one scheduled emission: the last pixel of a
@@ -30,42 +24,45 @@ let spec ?(emit_eol = true) ?(class_name = "Input") ~frame ~frames () =
   let make_behaviour () =
     let remaining = ref frames in
     let x = ref 0 and y = ref 0 and frame_idx = ref 0 in
-    let try_step (io : Behaviour.io) =
-      match !remaining with
-      | [] -> None
-      | img :: rest ->
-        (* One emission may carry pixel + EOL + EOF. *)
-        if io.space "out" < emission_burst then None
-        else begin
-          let pixel = io.acquire Size.one in
-          (* Raw move: the source fires once per pixel, so a boxed
-             get/set pair here costs four words per event. *)
-          Array.unsafe_set (Image.unsafe_data pixel) 0
-            (Array.unsafe_get (Image.unsafe_data img)
-               ((!y * frame.Size.w) + !x));
-          io.push "out" (Item.data pixel);
-          let end_of_row = !x = frame.Size.w - 1 in
-          let end_of_frame = end_of_row && !y = frame.Size.h - 1 in
-          if end_of_row && emit_eol then
-            io.push "out" (Item.ctl (Token.eol !y));
-          if end_of_frame then begin
-            io.push "out" (Item.ctl (Token.eof !frame_idx));
-            x := 0;
-            y := 0;
-            incr frame_idx;
-            remaining := rest
-          end
-          else if end_of_row then begin
-            x := 0;
-            incr y
-          end
-          else incr x;
-          fired_emit
-        end
+    (* One emission may carry pixel + EOL + EOF. *)
+    let emit (p : Behaviour.ports) =
+      let img = List.hd !remaining in
+      let pixel = p.ix_acquire Size.one in
+      (* Raw move: the source fires once per pixel, so a boxed get/set pair
+         here costs four words per event. *)
+      Array.unsafe_set (Image.unsafe_data pixel) 0
+        (Array.unsafe_get (Image.unsafe_data img) ((!y * frame.Size.w) + !x));
+      p.ix_push 0 (Item.data pixel);
+      let end_of_row = !x = frame.Size.w - 1 in
+      let end_of_frame = end_of_row && !y = frame.Size.h - 1 in
+      if end_of_row && emit_eol then p.ix_push 0 (Item.ctl (Token.eol !y));
+      if end_of_frame then begin
+        p.ix_push 0 (Item.ctl (Token.eof !frame_idx));
+        x := 0;
+        y := 0;
+        incr frame_idx;
+        remaining := List.tl !remaining
+      end
+      else if end_of_row then begin
+        x := 0;
+        incr y
+      end
+      else incr x
     in
-    (* Sources are self-driven emitters: the event queue, not a decline
-       oracle, schedules them. *)
-    Behaviour.v try_step
+    Behaviour.of_rules
+      ~port_order:([], [ "out" ])
+      [
+        One
+          {
+            name = "emit";
+            cycles = 0;
+            pops = [||];
+            outs = [| 0 |];
+            need = emission_burst;
+            guard = (fun _ -> match !remaining with [] -> false | _ -> true);
+            fire = emit;
+          };
+      ]
   in
   Spec.v ~role:Spec.Source ~class_name ~emission_burst ~inputs:[]
     ~outputs:[ Port.output "out" Window.pixel ]
@@ -76,16 +73,23 @@ let const ?(class_name = "Const") ~chunk () =
   let window = Window.v ~step:(Step.of_size size) size in
   let make_behaviour () =
     let sent = ref false in
-    let try_step (io : Behaviour.io) =
-      if !sent then None
-      else if io.space "out" < 1 then None
-      else begin
-        io.push "out" (Item.data (Image.copy chunk));
-        sent := true;
-        fired_emit
-      end
-    in
-    Behaviour.v try_step
+    Behaviour.of_rules
+      ~port_order:([], [ "out" ])
+      [
+        One
+          {
+            name = "emit";
+            cycles = 0;
+            pops = [||];
+            outs = [| 0 |];
+            need = 1;
+            guard = (fun _ -> not !sent);
+            fire =
+              (fun p ->
+                p.ix_push 0 (Item.data (Image.copy chunk));
+                sent := true);
+          };
+      ]
   in
   Spec.v ~role:Spec.Const_source ~class_name ~inputs:[]
     ~outputs:[ Port.output "out" window ]

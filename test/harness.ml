@@ -97,13 +97,15 @@ let tokens_of items =
 
 (* ---- whole-application helpers ---------------------------------------- *)
 
+let policy_of greedy = if greedy then Plan.Greedy else Plan.One_to_one
+
 let check_app ?(greedy_list = [ false; true ]) ?machine
     (inst : App.instance) =
   let machine = Option.value machine ~default:Machine.default in
   let compiled = Pipeline.compile ~machine inst.App.graph in
   List.iter
     (fun greedy ->
-      let result = Pipeline.simulate compiled ~greedy in
+      let result = Plan.run_plan ~policy:(policy_of greedy) compiled () in
       let diffs, ok = App.verify inst result in
       List.iter
         (fun (label, d) ->

@@ -194,7 +194,7 @@ let test_sim_deterministic () =
         ~n_frames:2 ()
     in
     let compiled = Pipeline.compile ~machine:Machine.default inst.App.graph in
-    let result = Pipeline.simulate compiled ~greedy:true in
+    let result = Plan.run_plan ~policy:Plan.Greedy compiled () in
     ( result.Sim.duration_s,
       Sim.average_utilization result,
       List.map
@@ -306,7 +306,10 @@ let test_first_output_latency () =
   in
   let compiled = Pipeline.compile ~machine:Machine.default inst.App.graph in
   let lat greedy =
-    match Sim.first_output_latency_s (Pipeline.simulate compiled ~greedy) with
+    match
+      Sim.first_output_latency_s
+        (Plan.run_plan ~policy:(policy_of greedy) compiled ())
+    with
     | Some l -> l
     | None -> Alcotest.fail "no output"
   in
@@ -346,7 +349,7 @@ let test_switch_overhead () =
   let busy machine greedy =
     let i = inst () in
     let compiled = Pipeline.compile ~machine i.App.graph in
-    let r = Pipeline.simulate compiled ~greedy in
+    let r = Plan.run_plan ~policy:(policy_of greedy) compiled () in
     Array.fold_left
       (fun acc (p : Sim.proc_stats) -> acc +. p.Sim.run_s)
       0. r.Sim.procs
@@ -392,7 +395,7 @@ let test_upsample_then_window () =
       compiled.Pipeline.buffers
   in
   Alcotest.(check bool) "block-fed buffer inserted" true block_buffer;
-  let result = Pipeline.simulate compiled ~greedy:false in
+  let result = Plan.run_plan ~policy:Plan.One_to_one compiled () in
   Alcotest.(check int) "clean" 0 result.Sim.leftover_items;
   let golden =
     List.map
@@ -421,7 +424,7 @@ let test_shipped_programs_parse () =
     (fun (path, allowed_leftover) ->
       let p = Lang.parse_file path in
       let compiled = Pipeline.compile ~machine:Machine.default p.Lang.graph in
-      let result = Pipeline.simulate compiled ~greedy:true in
+      let result = Plan.run_plan ~policy:Plan.Greedy compiled () in
       Alcotest.(check bool)
         (Printf.sprintf "%s leftovers <= %d" path allowed_leftover)
         true

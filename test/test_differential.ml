@@ -153,7 +153,7 @@ let run_case (w, h, seed, stages) =
     List.fold_left (fun acc f -> f acc) img (List.rev goldens)
   in
   let compiled = Pipeline.compile ~machine:Machine.default g in
-  let result = Pipeline.simulate compiled ~greedy:true in
+  let result = Plan.run_plan ~policy:Plan.Greedy compiled () in
   let expected = List.map golden frames in
   let out_extent = Image.size (List.hd expected) in
   let got =
@@ -250,8 +250,8 @@ let run_engine label ~greedy ~engine =
     Pipeline.compile ~machine:e.Apps.Suite.machine inst.App.graph
   in
   let mapping =
-    if greedy then Pipeline.mapping_greedy compiled
-    else Pipeline.mapping_one_to_one compiled
+    if greedy then Plan.mapping compiled ~policy:Plan.Greedy
+    else Plan.mapping compiled ~policy:Plan.One_to_one
   in
   engine ~graph:compiled.Pipeline.graph ~mapping
     ~machine:e.Apps.Suite.machine ()

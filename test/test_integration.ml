@@ -21,7 +21,7 @@ let test_image_pipeline_pad_policy () =
     Pipeline.compile ~align_policy:Align.Pad_zero ~machine:Machine.default
       inst.App.graph
   in
-  let result = Pipeline.simulate compiled ~greedy:false in
+  let result = Plan.run_plan ~policy:Plan.One_to_one compiled () in
   let diffs, ok = App.verify inst result in
   List.iter
     (fun (l, d) ->
@@ -41,7 +41,7 @@ let test_trim_vs_pad_differ () =
       Pipeline.compile ~align_policy:policy ~machine:Machine.default
         inst.App.graph
     in
-    ignore (Pipeline.simulate compiled ~greedy:false);
+    ignore (Plan.run_plan ~policy:Plan.One_to_one compiled ());
     match inst.App.collectors with
     | [ (_, c) ] -> List.hd (Sink.chunks c)
     | _ -> Alcotest.fail "expected one collector"
@@ -194,8 +194,8 @@ let test_pipeline_reports () =
   let s = Format.asprintf "%a" Pipeline.pp_summary compiled in
   Alcotest.(check bool) "mentions PEs" true (contains s "PEs");
   Alcotest.(check bool) "processors sane" true
-    (Pipeline.processors_needed compiled ~greedy:true
-    <= Pipeline.processors_needed compiled ~greedy:false)
+    (Plan.processors_needed compiled ~policy:Plan.Greedy
+    <= Plan.processors_needed compiled ~policy:Plan.One_to_one)
 
 let suite =
   List.map

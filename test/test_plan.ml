@@ -1,9 +1,6 @@
 (* The staged pass manager and the Plan artifact.
 
    The tentpole guarantees pinned here:
-   - [Plan.run_plan] is bit-exact against the pre-plan
-     [Pipeline.simulate] path over the whole benchmark suite, under both
-     mapping policies (the plan's stored mappings ARE the ad-hoc ones);
    - every compile yields a complete plan: both mappings realized (or a
      recorded greedy overflow), a placement per realized mapping, a
      schedulability verdict, timings for all ten passes in order;
@@ -24,66 +21,13 @@ let pass_names =
     "analyze-post"; "schedulability"; "map"; "place"; "schedule";
   ]
 
-(* Same signature as the engine-equivalence differential: every
-   observable of a run, compared with exact floats. *)
-let result_signature (r : Sim.result) =
-  let assoc l = List.sort (fun (a, _) (b, _) -> compare a b) l in
-  ( Array.to_list
-      (Array.map
-         (fun (p : Sim.proc_stats) ->
-           (p.Sim.run_s, p.Sim.read_s, p.Sim.write_s, p.Sim.fires))
-         r.Sim.procs),
-    (r.Sim.input_stalls, r.Sim.late_emissions, r.Sim.max_input_lateness_s),
-    assoc r.Sim.sink_eofs,
-    assoc r.Sim.sink_first_data,
-    List.sort compare
-      (List.map
-         (fun (id, (ns : Sim.node_stats)) ->
-           (id, ns.Sim.node_fires, ns.Sim.node_busy_s))
-         r.Sim.node_stats),
-    List.sort compare r.Sim.channel_depths,
-    (r.Sim.leftover_items, r.Sim.timed_out) )
-
-(* Each execution path gets its own freshly built instance: behaviour
-   state and sink collectors are per-instance, and the two paths must
-   not share a mutated graph. *)
+(* Each compile gets its own freshly built instance: behaviour state and
+   sink collectors are per-instance, and two compiles must not share a
+   mutated graph. *)
 let compile_suite_entry label =
   let e = Apps.Suite.by_label label in
   let inst = e.Apps.Suite.build () in
   (inst, Pipeline.compile ~machine:e.Apps.Suite.machine inst.App.graph)
-
-let test_plan_vs_legacy_differential () =
-  List.iter
-    (fun label ->
-      List.iter
-        (fun policy ->
-          let tag =
-            Printf.sprintf "%s/%s" label (Plan.policy_name policy)
-          in
-          let _, legacy_compiled = compile_suite_entry label in
-          let legacy =
-            Pipeline.simulate legacy_compiled
-              ~greedy:(policy = Plan.Greedy)
-          in
-          let _, plan = compile_suite_entry label in
-          (* run_plan defaults to quasi-static execution, so this also
-             pins the static engine to the fully event-driven legacy path
-             — event counts included, since elided wakes count as
-             processed. test_schedule.ml holds static against dynamic
-             field by field. *)
-          let fresh = Sim.run_plan ~policy plan () in
-          Alcotest.(check (float 0.))
-            (tag ^ ": duration bit-exact")
-            legacy.Sim.duration_s fresh.Sim.duration_s;
-          Alcotest.(check int)
-            (tag ^ ": events processed")
-            legacy.Sim.events_processed fresh.Sim.events_processed;
-          Alcotest.(check bool)
-            (tag ^ ": full result signature")
-            true
-            (result_signature legacy = result_signature fresh))
-        [ Plan.One_to_one; Plan.Greedy ])
-    Apps.Suite.labels
 
 let test_plan_completeness () =
   List.iter
@@ -335,6 +279,22 @@ let test_run_plan_with_placement () =
   Alcotest.(check bool) "placed run completes" true
     (not placed.Sim.timed_out)
 
+(* [bpc simulate] prints [Plan.engine_mode]: an attached observer must be
+   reported as what it is — the reason the run left quasi-static mode. *)
+let test_engine_mode () =
+  let mode ?observer ~static () =
+    let _, plan = compile_suite_entry "1" in
+    let r = Sim.run_plan ?observer ~static ~policy:Plan.One_to_one plan () in
+    Plan.engine_mode plan ~static ~observed:(Option.is_some observer) r
+  in
+  let observer ~time_s:_ ~proc:_ ~node:_ ~method_name:_ ~service_s:_ = () in
+  Alcotest.(check string) "bare run" "quasi-static" (mode ~static:true ());
+  Alcotest.(check string)
+    "observer" "event-driven (observer attached)"
+    (mode ~observer ~static:true ());
+  Alcotest.(check string)
+    "--no-static" "event-driven (--no-static)" (mode ~static:false ())
+
 let test_clock_monotonic () =
   let prev = ref (Clock.now_s ()) in
   for _ = 1 to 10_000 do
@@ -357,8 +317,6 @@ let test_explain_renders () =
 
 let suite =
   [
-    Alcotest.test_case "plan vs legacy path, whole suite, both policies"
-      `Slow test_plan_vs_legacy_differential;
     Alcotest.test_case "every suite plan is complete" `Slow
       test_plan_completeness;
     Alcotest.test_case "diagnostics order is deterministic" `Slow
@@ -377,6 +335,7 @@ let suite =
       test_greedy_overflow_is_recorded_not_raised;
     Alcotest.test_case "run_plan can apply the placement" `Quick
       test_run_plan_with_placement;
+    Alcotest.test_case "engine mode and its reason" `Quick test_engine_mode;
     Alcotest.test_case "pass clock is monotonic" `Quick test_clock_monotonic;
     Alcotest.test_case "--explain rendering covers the plan" `Quick
       test_explain_renders;

@@ -22,7 +22,7 @@ let run_filter_case ~frame ~spec ~golden =
   feed_coeff ();
   Graph.connect g ~from:(k, "out") ~into:(sink, "in");
   let compiled = Pipeline.compile ~machine:Machine.default g in
-  let result = Pipeline.simulate compiled ~greedy:true in
+  let result = Plan.run_plan ~policy:Plan.Greedy compiled () in
   Alcotest.(check int) "clean" 0 result.Sim.leftover_items;
   let expected = List.map golden frames in
   let out_extent = Image.size (List.hd expected) in

@@ -414,7 +414,7 @@ let test_pipeline_chain_structure () =
 let test_pipeline_chain_end_to_end () =
   let g, frames, frame, collector = pipeline_chain_app () in
   let compiled = Pipeline.compile ~machine:Machine.default g in
-  let result = Pipeline.simulate compiled ~greedy:false in
+  let result = Plan.run_plan ~policy:Plan.One_to_one compiled () in
   Alcotest.(check int) "clean" 0 result.Sim.leftover_items;
   let golden =
     List.map (Image.map (fun v -> ((v *. 2.) +. 1.) *. 0.5)) frames

@@ -228,7 +228,7 @@ let run_fixture fx ~greedy =
   in
   (* v5: share of static firings that went through the closure-free
      slot-indexed dispatch path (Behaviour.indexed.fire_indexed) rather
-     than the string-keyed compatibility path. *)
+     than the generic try_step. *)
   let static_indexed_share =
     if static_r.Sim.static_fired = 0 then 0.
     else

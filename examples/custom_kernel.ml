@@ -44,7 +44,9 @@ let threshold_kernel ~initial () =
         []
       | _ -> assert false
     in
-    Behaviour.iteration_kernel ~methods ~run ~token_run ()
+    Behaviour.iteration_kernel ~methods ~run ~token_run
+      ~port_order:([ "in" ], [ "out" ])
+      ()
   in
   Kernel.v ~class_name:"Threshold"
     ~token_budgets:[ Token.Bound.v retune_token ~max_per_frame:1 ]
@@ -63,7 +65,6 @@ let retuning_forward () =
   let make_behaviour () =
     let frame_idx = ref 0 in
     Behaviour.of_rules
-      ~port_order:([ "in" ], [ "out" ])
       [
         One
           {
@@ -137,4 +138,5 @@ let () =
       0. expected got
   in
   Format.printf "thresholded frames: %d, worst |diff| vs reference = %g@."
-    (List.length got) worst
+    (List.length got) worst;
+  if worst <> 0. then exit 1

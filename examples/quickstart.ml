@@ -63,4 +63,5 @@ let () =
       ~period_s:(Rate.frame_period_s rate) ()
   in
   Format.printf "pixels: worst |diff| = %g; real-time: %s@." worst
-    (if verdict.Sim.met then "met" else "MISSED")
+    (if verdict.Sim.met then "met" else "MISSED");
+  if worst <> 0. || not verdict.Sim.met then exit 1

@@ -75,13 +75,17 @@ let () =
         Histogram.reference diff ~bins ~lo ~hi)
       frames
   in
+  let hists = Sink.chunks results in
+  let worst = ref 0. in
   List.iteri
     (fun i (hist : Image.t) ->
       let golden = List.nth expected i in
+      let diff = Image.max_abs_diff golden hist in
+      worst := Float.max !worst diff;
       Format.printf "frame %d activity histogram (|diff| vs golden = %g):@."
-        i
-        (Image.max_abs_diff golden hist);
+        i diff;
       for b = 0 to bins - 1 do
         Format.printf "  bin %2d: %3.0f@." b (Image.get hist ~x:b ~y:0)
       done)
-    (Sink.chunks results)
+    hists;
+  if List.length hists <> n_frames || !worst <> 0. then exit 1

@@ -25,7 +25,10 @@ let decimator () =
     ~inputs:[ Port.input "in" (Window.v ~step:(Step.v 2 2) Size.one) ]
     ~outputs:[ Port.output "out" Window.pixel ]
     ~methods
-    ~make_behaviour:(fun () -> Behaviour.iteration_kernel ~methods ~run ())
+    ~make_behaviour:(fun () ->
+      Behaviour.iteration_kernel ~methods ~run
+        ~port_order:([ "in" ], [ "out" ])
+        ())
     ()
 
 let () =
@@ -112,4 +115,5 @@ let () =
       0. expected got
   in
   Format.printf "smoothed frames: %d, worst |diff| vs reference = %g@."
-    (List.length got) worst
+    (List.length got) worst;
+  if worst <> 0. then exit 1

@@ -21,7 +21,10 @@ let decimator () =
       [ Port.input "in" (Bp_geometry.Window.v ~step:(Step.v 2 2) Size.one) ]
     ~outputs:[ Port.output "out" Bp_geometry.Window.pixel ]
     ~methods
-    ~make_behaviour:(fun () -> Behaviour.iteration_kernel ~methods ~run ())
+    ~make_behaviour:(fun () ->
+      Behaviour.iteration_kernel ~methods ~run
+        ~port_order:([ "in" ], [ "out" ])
+        ())
     ()
 
 let v ?(seed = 53) ~frame ~rate ~n_frames () =

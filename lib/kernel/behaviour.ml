@@ -1,19 +1,9 @@
 open Bp_util
 module Token = Bp_token.Token
 
-type io = {
-  peek : string -> Item.t option;
-  pop : string -> Item.t;
-  push : string -> Item.t -> unit;
-  space : string -> int;
-  acquire : Bp_geometry.Size.t -> Bp_image.Image.t;
-  release : Bp_image.Image.t -> unit;
-  has_input : string -> bool;
-}
-
-(* The slot-indexed fast path: ring handles preresolved to port ordinals
-   (declaration order in the spec) so a tabled firing touches no string
-   and allocates no closure. Built once per node by the engine. *)
+(* A kernel's channels, by port ordinal (declaration order in the spec),
+   so a firing touches no string and allocates no closure. Built once per
+   node by the engine. *)
 type ports = {
   ix_peek : int -> Item.t;
   ix_pop : int -> Item.t;
@@ -66,8 +56,8 @@ type indexed = {
 }
 
 type t = {
-  try_step : io -> fired option;
-  starved : (io -> bool) option;
+  try_step : ports -> fired option;
+  starved : (ports -> bool) option;
   indexed : indexed option;
 }
 
@@ -78,83 +68,13 @@ let forward_method_name = "<forward-token>"
 
 let always _ = true
 
-(* [ports] views of a string-keyed [io]. Each input is looked at once per
-   call: [memo] holds what is known of its front (0 empty, -1 present, > 0
-   its kind), valid while [stamp] equals the call's [gen]; a pop
-   invalidates it. The step view learns presence by peeking, since it will
-   mostly need the kind next; the oracle view asks [has_input], so an
-   oracle that only tests presence peeks at nothing. *)
-type fronts = {
-  io : io;
-  in_names : string array;
-  memo : int array;
-  stamp : int array;
-  mutable gen : int;
-}
+let front_kind (p : ports) i =
+  if p.ix_has i then kind_of_item (p.ix_peek i) else 0
 
-type view = { f : fronts; step : ports; oracle : ports }
-
-let peek_exn (io : io) name =
-  match io.peek name with
-  | Some item -> item
-  | None -> Err.graphf "peek on empty input %S" name
-
-let front_kind f i =
-  if f.stamp.(i) = f.gen && f.memo.(i) >= 0 then f.memo.(i)
-  else begin
-    let k =
-      match f.io.peek f.in_names.(i) with
-      | None -> 0
-      | Some item -> kind_of_item item
-    in
-    f.memo.(i) <- k;
-    f.stamp.(i) <- f.gen;
-    k
-  end
-
-let has_front f i =
-  if f.stamp.(i) <> f.gen then begin
-    f.memo.(i) <- (if f.io.has_input f.in_names.(i) then -1 else 0);
-    f.stamp.(i) <- f.gen
-  end;
-  f.memo.(i) <> 0
-
-let view_of ins outs io =
-  let n = Array.length ins in
-  let f =
-    {
-      io;
-      in_names = ins;
-      memo = Array.make n 0;
-      stamp = Array.make n (-1);
-      gen = 0;
-    }
-  in
-  let step =
-    {
-      ix_peek = (fun i -> peek_exn io ins.(i));
-      ix_pop =
-        (fun i ->
-          f.stamp.(i) <- -1;
-          io.pop ins.(i));
-      ix_push = (fun j item -> io.push outs.(j) item);
-      ix_space = (fun j -> io.space outs.(j));
-      ix_has = (fun i -> front_kind f i > 0);
-      ix_acquire = io.acquire;
-      ix_release = io.release;
-    }
-  in
-  { f; step; oracle = { step with ix_has = has_front f } }
-
-(* A rule as the step runs it: its single pop unpacked (slot -1 when it
-   pops none or several), the names of the outputs whose space it needs,
-   its success value built once, and, for a member of a turn, its index in
-   it (else -1). *)
+(* A rule as the step runs it: its success value built once and, for a
+   member of a turn, its index in it (else -1). *)
 type prepared = {
   rule : rule;
-  slot : int;
-  kinds : kinds;
-  out_names : string array;
   fired : fired option;
   member : int;
   turn : int ref;
@@ -165,31 +85,31 @@ type prepared = {
 type step = Rule_at of int | Turn_from of int ref * int
 
 (* The derivations below are top-level recursions rather than closures on
-   purpose: a closure capturing a view or a rule is allocated afresh on
+   purpose: a closure capturing the ports or a rule is allocated afresh on
    every call, and these run on every attempt of the simulator's innermost
    loop. *)
 
 (* Every popped front is present with an allowed kind (0, empty, matches
    none), and every token among them has the kind of the first one (the
    copies of one token). *)
-let rec fronts_ok f pops first i =
+let rec fronts_ok (p : ports) pops first i =
   i >= Array.length pops
   ||
   let slot, kinds = pops.(i) in
-  let k = front_kind f slot in
+  let k = front_kind p slot in
   k land kinds <> 0
   &&
-  if k = k_data then fronts_ok f pops first (i + 1)
-  else if first < 0 then fronts_ok f pops slot (i + 1)
+  if k = k_data then fronts_ok p pops first (i + 1)
+  else if first < 0 then fronts_ok p pops slot (i + 1)
   else
     Token.kind_equal
-      (Item.token_exn (peek_exn f.io f.in_names.(slot))).Token.kind
-      (Item.token_exn (peek_exn f.io f.in_names.(first))).Token.kind
-    && fronts_ok f pops first (i + 1)
+      (Item.token_exn (p.ix_peek slot)).Token.kind
+      (Item.token_exn (p.ix_peek first)).Token.kind
+    && fronts_ok p pops first (i + 1)
 
-let rec space_ok (io : io) names need i =
-  i >= Array.length names
-  || (io.space names.(i) >= need && space_ok io names need (i + 1))
+let rec space_ok (p : ports) outs need i =
+  i >= Array.length outs
+  || (p.ix_space outs.(i) >= need && space_ok p outs need (i + 1))
 
 let at (ps : prepared array) = function
   | Rule_at i -> ps.(i)
@@ -198,38 +118,35 @@ let at (ps : prepared array) = function
 (* [always] is not called: the indirect call costs more than the test. *)
 let holds guard ports = guard == always || guard ports
 
-(* A rule whose one front is already known to hold another kind is
-   skipped without its guard; otherwise the guard comes first, as the
-   cheapest test, and spares the io a look at fronts it does not need. *)
-let rec attempt v ps (steps : step array) i =
+(* A rule with one pop tests that front first, the cheapest test; any
+   other rule runs its guard first, which spares a look at fronts it does
+   not need. Space comes last, so [ix_space] is asked only of a rule that
+   could otherwise fire. *)
+let rec attempt p ps (steps : step array) i =
   if i >= Array.length steps then None
   else
-    let p = at ps steps.(i) and f = v.f in
-    let r = p.rule and slot = p.slot in
+    let pr = at ps steps.(i) in
+    let r = pr.rule in
     if
-      (slot < 0
-      || f.stamp.(slot) <> f.gen
-      || f.memo.(slot) < 0
-      || f.memo.(slot) land p.kinds <> 0)
-      && holds r.guard v.step
-      && (if slot >= 0 then front_kind f slot land p.kinds <> 0
-          else fronts_ok f r.pops (-1) 0)
-      && space_ok f.io p.out_names r.need 0
+      (if Array.length r.pops = 1 then
+         let slot, kinds = r.pops.(0) in
+         front_kind p slot land kinds <> 0 && holds r.guard p
+       else holds r.guard p && fronts_ok p r.pops (-1) 0)
+      && (r.need = 0 || space_ok p r.outs r.need 0)
     then begin
-      r.fire v.step;
-      p.fired
+      r.fire p;
+      pr.fired
     end
-    else attempt v ps steps (i + 1)
+    else attempt p ps steps (i + 1)
 
-let rec present f pops i =
+let rec present (p : ports) pops i =
   i >= Array.length pops
-  || (has_front f (fst pops.(i)) && present f pops (i + 1))
+  || (p.ix_has (fst pops.(i)) && present p pops (i + 1))
 
-let rec armed v ps (steps : step array) i =
+let rec armed p ps (steps : step array) i =
   i < Array.length steps
   && (let r = (at ps steps.(i)).rule in
-      (holds r.guard v.oracle && present v.f r.pops 0)
-      || armed v ps steps (i + 1))
+      (holds r.guard p && present p r.pops 0) || armed p ps steps (i + 1))
 
 let matches r ~method_name ~pops ~pushes =
   String.equal r.name method_name
@@ -237,16 +154,10 @@ let matches r ~method_name ~pops ~pushes =
   && Array.for_all2 (fun s (slot, _) -> s = slot) pops r.pops
   && Array.for_all (fun o -> Array.mem o r.outs) pushes
 
-let of_rules ~port_order:(ins, outs) entries =
-  let ins = Array.of_list ins and outs = Array.of_list outs in
+let of_rules entries =
   let prepare turn member (r : rule) =
-    let one = Array.length r.pops = 1 in
     {
       rule = r;
-      slot = (if one then fst r.pops.(0) else -1);
-      kinds = (if one then snd r.pops.(0) else 0);
-      out_names =
-        (if r.need = 0 then [||] else Array.map (fun o -> outs.(o)) r.outs);
       fired = Some { method_name = r.name; cycles = r.cycles };
       member;
       turn;
@@ -274,21 +185,8 @@ let of_rules ~port_order:(ins, outs) entries =
            | Turn (turn, rs) -> Turn_from (turn, take (Array.length rs)))
          entries)
   in
-  let view = ref None in
-  let view_for io =
-    let v =
-      match !view with
-      | Some v when v.f.io == io -> v
-      | _ ->
-        let v = view_of ins outs io in
-        view := Some v;
-        v
-    in
-    v.f.gen <- v.f.gen + 1;
-    v
-  in
-  let try_step io = attempt (view_for io) ps steps 0 in
-  let starved io = not (armed (view_for io) ps steps 0) in
+  let try_step p = attempt p ps steps 0 in
+  let starved p = not (armed p ps steps 0) in
   let op_of ~method_name ~pops ~pushes =
     let rec find i =
       if i >= Array.length ps then -1
@@ -377,20 +275,15 @@ let ordinal_of what names name =
   in
   go 0 names
 
-let rec dedup = function
-  | [] -> []
-  | x :: rest -> x :: dedup (List.filter (fun y -> not (String.equal x y)) rest)
-
-let iteration_kernel ?(token_forward_cycles = 2) ~methods ?run ?port_order
-    ?run_indexed ?(token_run = fun _ ~alloc:_ _ -> []) () =
+let iteration_kernel ?(token_forward_cycles = 2) ~methods ?run
+    ~port_order:(ins, outs) ?run_indexed
+    ?(token_run = fun _ ~alloc:_ _ -> []) () =
   let body =
-    match (run_indexed, run, port_order) with
-    | None, None, _ ->
+    match (run_indexed, run) with
+    | None, None ->
       Err.invalidf "iteration_kernel: neither run nor run_indexed given"
-    | Some _, _, None ->
-      Err.invalidf "iteration_kernel: run_indexed requires port_order"
-    | Some ri, _, _ -> fun (m : Method_spec.t) _ -> ri m.Method_spec.name
-    | None, Some run, _ -> of_data_run run
+    | Some ri, _ -> fun (m : Method_spec.t) _ -> ri m.Method_spec.name
+    | None, Some run -> of_data_run run
   in
   let triggers (m : Method_spec.t) =
     match m.Method_spec.trigger with
@@ -398,16 +291,6 @@ let iteration_kernel ?(token_forward_cycles = 2) ~methods ?run ?port_order
     | Method_spec.On_token _ -> None
   in
   let data_methods = List.filter_map triggers methods in
-  (* Without a declared port order the ordinals are private (first use in
-     [methods]) and no indexed path is exposed. *)
-  let ins, outs =
-    match port_order with
-    | Some order -> order
-    | None ->
-      ( dedup (List.concat_map snd data_methods),
-        dedup (List.concat_map (fun (m : Method_spec.t) -> m.outputs) methods)
-      )
-  in
   let in_ords l = Array.of_list (List.map (ordinal_of "input" ins) l) in
   let out_ords l = Array.of_list (List.map (ordinal_of "output" outs) l) in
   let rules_of ((m : Method_spec.t), inputs) =
@@ -511,10 +394,7 @@ let iteration_kernel ?(token_forward_cycles = 2) ~methods ?run ?port_order
         };
       ]
   in
-  let b =
-    of_rules ~port_order:(ins, outs)
-      (List.concat_map
-         (fun m -> List.map (fun r -> One r) (rules_of m))
-         data_methods)
-  in
-  match port_order with None -> { b with indexed = None } | Some _ -> b
+  of_rules
+    (List.concat_map
+       (fun m -> List.map (fun r -> One r) (rules_of m))
+       data_methods)

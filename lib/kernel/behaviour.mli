@@ -9,7 +9,8 @@
     paper's methods with their trigger inputs, outputs and static cost
     (Section II). {!of_rules} derives from that table all three views the
     engines use: the generic [try_step], the [starved] decline oracle and
-    the slot-indexed path of quasi-static execution.
+    the slot-indexed path of quasi-static execution. All three see the
+    kernel's channels through one {!ports}.
 
     {!iteration_kernel} builds the rule table of an ordinary per-iteration
     kernel (convolution, subtract, histogram, ...) from its method specs.
@@ -27,48 +28,37 @@
       streams re-align, which the compiler's alignment pass guarantees will
       happen. *)
 
-type io = {
-  peek : string -> Item.t option;
-      (** Front of an input queue, without consuming. *)
-  pop : string -> Item.t;
-      (** Consume the front of an input queue. Raises if empty. *)
-  push : string -> Item.t -> unit;
-      (** Append to an output (all fan-out channels). Caller must have
-          checked {!field-space}. *)
-  space : string -> int;
-      (** Free item slots on an output — the minimum across its fan-out
-          channels. *)
-  acquire : Bp_geometry.Size.t -> Bp_image.Image.t;
-      (** An all-zero chunk of the given extent, recycled from the engine's
-          pool when one is idle. The caller owns it: push it onward or
-          {!field-release} it. *)
-  release : Bp_image.Image.t -> unit;
+type ports = {
+  ix_peek : int -> Item.t;
+      (** Front of input ordinal [i], without consuming. Raises if empty. *)
+  ix_pop : int -> Item.t;
+      (** Consume the front of input ordinal [i]. The engine raises
+          [Graph_malformed] naming the node when it is empty. *)
+  ix_push : int -> Item.t -> unit;
+      (** Append to output ordinal [j], on every fan-out channel. The
+          caller must have checked {!field-ix_space}; the engine raises
+          [Graph_malformed] naming the node on a full channel. *)
+  ix_space : int -> int;
+      (** Free item slots on output ordinal [j] — the minimum across its
+          fan-out channels ([max_int] when it has none). *)
+  ix_has : int -> bool;
+      (** Whether input ordinal [i] has a front item. Free of allocation:
+          the decline oracles call it on every skipped examination. *)
+  ix_acquire : Bp_geometry.Size.t -> Bp_image.Image.t;
+      (** An all-zero chunk of the given extent, recycled from the
+          engine's pool when one is idle. The caller owns it: push it
+          onward or {!field-ix_release} it. *)
+  ix_release : Bp_image.Image.t -> unit;
       (** Return a chunk whose ownership ended here (popped and not
           forwarded, or acquired and discarded) to the engine's pool. The
           allocation-naive reference engine wires this to [ignore]. *)
-  has_input : string -> bool;
-      (** Whether an input queue has a front item — [peek <> None] without
-          the option allocation. The static executor's decline oracles call
-          this on every skipped examination, so it must stay free of
-          per-call allocation. *)
 }
-
-type ports = {
-  ix_peek : int -> Item.t;  (** Front of input ordinal [i]. Raises if empty. *)
-  ix_pop : int -> Item.t;  (** Consume the front of input ordinal [i]. *)
-  ix_push : int -> Item.t -> unit;
-      (** Append to output ordinal [j] (all fan-out channels). *)
-  ix_space : int -> int;  (** Free slots on output ordinal [j] (min fan-out). *)
-  ix_has : int -> bool;  (** Input ordinal [i] has a front item. *)
-  ix_acquire : Bp_geometry.Size.t -> Bp_image.Image.t;
-  ix_release : Bp_image.Image.t -> unit;
-}
-(** The slot-indexed twin of {!io}: ring handles preresolved to the
-    kernel's port ordinals (position in the spec's declaration order, as
-    reported by {!Spec.input_ordinal}/{!Spec.output_ordinal}). The engine
-    builds one [ports] per node at setup; a tabled firing dispatched
-    through it performs zero name hashing and allocates no closure. Same
-    ownership and accounting contract as {!io}. *)
+(** A kernel's channels, by port ordinal: the position in the spec's
+    declaration order, as reported by {!Spec.input_ordinal} and
+    {!Spec.output_ordinal}. It is the only way a kernel sees its channels.
+    The engine builds one [ports] per node at setup and counts the words
+    each pop and push moves; a firing dispatched through it performs no
+    name hashing and allocates no closure. *)
 
 (** {1 Firing rules} *)
 
@@ -152,30 +142,29 @@ type indexed = {
     [op_of] when it resolves a node's firing table. *)
 
 type t = {
-  try_step : io -> fired option;
-  starved : (io -> bool) option;
-      (** Exact decline oracle: [starved io = true] implies that
-          [try_step io] returns [None] without mutating anything. The
+  try_step : ports -> fired option;
+  starved : (ports -> bool) option;
+      (** Exact decline oracle: [starved p = true] implies that
+          [try_step p] returns [None] without mutating anything. The
           simulator's quasi-static executor uses it to skip attempts and
           to elide processor wake events (docs/PERFORMANCE.md). [None]
           means the kernel is always re-attempted. *)
   indexed : indexed option;
       (** Slot-indexed fast path; [None] keeps every firing on the
-          generic string-keyed path. *)
+          generic [try_step]. *)
 }
 
-val of_rules : port_order:string list * string list -> entry list -> t
-(** [of_rules ~port_order:(inputs, outputs) entries] is the behaviour of a
-    kernel whose firing logic is the rule table [entries], in priority
-    order; [inputs] and [outputs] name the ports of each ordinal, in the
-    spec's declaration order. All three fields derive from the one table:
+val of_rules : entry list -> t
+(** [of_rules entries] is the behaviour of a kernel whose firing logic is
+    the rule table [entries], in priority order. All three fields derive
+    from the one table:
 
     - [try_step] fires the first rule whose guard holds, whose inputs are
       all present with allowed kinds and whose [outs] have [need] free
-      slots each. It runs the rules through a {!ports} view of the io,
-      built once per instance, which remembers within a step what it has
-      learned of each front; the combinator itself allocates nothing per
-      step.
+      slots each. A rule with a single pop tests that front before its
+      guard; any other rule runs its guard first; space is asked last, so
+      [ix_space] is called only for a rule that could otherwise fire. The
+      combinator allocates nothing per step.
     - [starved] holds when no rule has its [guard] holding with all its
       inputs present — the part of the [try_step] test that space and
       front kinds cannot undo, so it implies a decline.
@@ -192,7 +181,7 @@ val of_rules : port_order:string list * string list -> entry list -> t
     next. (Kernels with two data-triggered methods are never statically
     scheduled.) *)
 
-val v : (io -> fired option) -> t
+val v : (ports -> fired option) -> t
 (** A hand-rolled behaviour: no decline oracle, no indexed path. *)
 
 val forward_method_name : string
@@ -202,7 +191,7 @@ val forward_method_name : string
 (** {1 Iteration kernels} *)
 
 type alloc = Bp_geometry.Size.t -> Bp_image.Image.t
-(** How a method body obtains output chunks: wired to {!field-acquire} by
+(** How a method body obtains output chunks: wired to {!field-ix_acquire} by
     {!iteration_kernel}, so steady-state firings recycle instead of
     allocating. Bodies must treat the result as all-zero scratch they now
     own. *)
@@ -246,23 +235,22 @@ val iteration_kernel :
   ?token_forward_cycles:int ->
   methods:Method_spec.t list ->
   ?run:(string -> data_run) ->
-  ?port_order:string list * string list ->
+  port_order:string list * string list ->
   ?run_indexed:(string -> indexed_run) ->
   ?token_run:(string -> token_run) ->
   unit ->
   t
-(** [iteration_kernel ~methods ~run ()] builds the standard wrapper with
-    {!of_rules}: per data method, in order, a rule firing its body, one
+(** [iteration_kernel ~methods ~run ~port_order:(inputs, outputs) ()]
+    builds the standard wrapper with {!of_rules}: per data method, in order, a rule firing its body, one
     per token method handling a kind on its trigger inputs, and one
     forwarding any other token. [run m] is invoked for [On_data] method
     [m]; [token_run m] for [On_token] method [m] (defaults to producing
     nothing). [token_forward_cycles] (default 2) is the cost of
     auto-forwarding an unhandled token. State is whatever the closures
     capture — callers allocate fresh state per behaviour instance.
+    [inputs] and [outputs] name the kernel's ports in spec declaration
+    order, which fixes the ordinal of each.
 
     [run_indexed m] supplies the array-based body for [On_data] method [m]
-    instead of [run], which is otherwise adapted onto that form; it
-    requires [port_order], the kernel's input and output port names in
-    spec declaration order. The indexed path is exposed only when
-    [port_order] is given. At least one of [run] / [run_indexed] must be
-    given. *)
+    instead of [run], which is otherwise adapted onto that form. At least
+    one of [run] / [run_indexed] must be given. *)

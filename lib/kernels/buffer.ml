@@ -175,7 +175,6 @@ let spec ?class_name cfg =
         }
     in
     Behaviour.of_rules
-      ~port_order:([ "in" ], [ "out" ])
       [
         One
           {

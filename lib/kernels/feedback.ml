@@ -16,7 +16,6 @@ let init ?(class_name = "Loop Init") ~window ~initial () =
     (* Self-driven while initial chunks remain; input-driven after. *)
     let drained _ = match !pending with [] -> true | _ :: _ -> false in
     Behaviour.of_rules
-      ~port_order:([ "in" ], [ "out" ])
       [
         One
           {
@@ -63,7 +62,6 @@ let init ?(class_name = "Loop Init") ~window ~initial () =
 let loop_combine ?(class_name = "Loop Combine") ?(cycles = 4) f =
   let make_behaviour () =
     Behaviour.of_rules
-      ~port_order:([ "in0"; "in1" ], [ "out" ])
       [
         One
           {

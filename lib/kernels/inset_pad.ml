@@ -50,7 +50,6 @@ let inset ?class_name ?(chunk = Window.pixel) ~grid ~left ~right ~top ~bottom
     (* The two shapes of [filter]: drop (no push) is listed first, so that
        a recorded firing that pushed nothing resolves to it, not to keep. *)
     Behaviour.of_rules
-      ~port_order:([ "in" ], [ "out" ])
       [
         on_in "filter" Costs.inset Behaviour.k_data ~outs:[||] ~need:0
           ~guard:(fun _ -> not (keep_now ()))
@@ -115,7 +114,6 @@ let pad ?class_name ?(value = 0.) ~frame ~left ~right ~top ~bottom () =
       p.ix_has 0 && Item.is_ctl (p.ix_peek 0)
     in
     Behaviour.of_rules
-      ~port_order:([ "in" ], [ "out" ])
       [
         (* Input tokens are informational here — the output schedule
            below emits this kernel's own tokens for the padded geometry —

@@ -34,7 +34,6 @@ let spec ?(class_name = "Output") ~window c () =
   let make_behaviour () =
     reset c;
     Behaviour.of_rules
-      ~port_order:([ "in" ], [])
       [
         One
           {

@@ -50,7 +50,6 @@ let spec ?(emit_eol = true) ?(class_name = "Input") ~frame ~frames () =
       else incr x
     in
     Behaviour.of_rules
-      ~port_order:([], [ "out" ])
       [
         One
           {
@@ -74,7 +73,6 @@ let const ?(class_name = "Const") ~chunk () =
   let make_behaviour () =
     let sent = ref false in
     Behaviour.of_rules
-      ~port_order:([], [ "out" ])
       [
         One
           {

@@ -65,7 +65,6 @@ let split ?class_name ?pattern ~window ~ways () =
       }
     in
     Behaviour.of_rules
-      ~port_order:([ "in" ], outs)
       [
         broadcast ~ways (fun () ->
             branch := 0;
@@ -129,7 +128,6 @@ let join ?class_name ?pattern ~window ~ways () =
       }
     in
     Behaviour.of_rules
-      ~port_order:(ins, [ "out" ])
       [ Turn (branch, Array.init ways collect); One merge ]
   in
   Spec.v ~role:Spec.Join ~class_name ~parallelization:Spec.Serial
@@ -193,7 +191,6 @@ let column_split ?class_name ~ranges ~frame () =
       x := (!x + 1) mod w
     in
     Behaviour.of_rules
-      ~port_order:([ "in" ], outs)
       [
         broadcast ~ways:parts (fun () -> x := 0);
         One
@@ -217,7 +214,6 @@ let replicate ?class_name ~window () =
   let class_name = Option.value class_name ~default:"Replicate" in
   let make_behaviour () =
     Behaviour.of_rules
-      ~port_order:([ "in" ], [ "out" ])
       [
         One
           {

@@ -10,7 +10,7 @@
     Bounds are the caller's contract: [push] on a full ring and [pop]/
     [peek] on an empty one raise [Invalid_argument]. The simulator always
     guards with {!space} / {!is_empty} first, exactly as kernels guard
-    with [Behaviour.io.space]. *)
+    with [Behaviour.ports.ix_space]. *)
 
 type 'a t
 

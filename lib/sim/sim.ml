@@ -103,9 +103,9 @@ and node_rt = {
   node : Graph.node;
   behaviour : Behaviour.t;
   in_chans : (string * chan_rt) array;  (* bound once at setup *)
-  out_chans : (string * chan_rt array) array;
+  out_chans : (string * chan_rt array) array;  (* spec declaration order *)
   proc : int option;
-  mutable io : Behaviour.io;  (* built once; counters reset per firing *)
+  mutable ports : Behaviour.ports;  (* built once; counters reset per firing *)
   mutable cw_read : int;  (* words read by the current firing *)
   mutable cw_write : int;
   mutable cw_hop : int;
@@ -156,7 +156,6 @@ and node_rt = {
 }
 
 and scripted = {
-  sc_ports : Behaviour.ports;  (* slot-indexed io over the bound channels *)
   sc_fire : Behaviour.ports -> int -> Behaviour.fired option;
   (* The firing table compressed to segments: one (sentry, length) pair
      per maximal run of identical firings ([e_run]), per side. A period
@@ -220,6 +219,19 @@ type proc_rt = {
    this throwaway control item so the ring never pins live pixel data. *)
 let dummy_item = Item.ctl (Token.eof (-1))
 
+(* Placeholder for [node_rt.ports] until the engine's wiring exists; every
+   node's real ports replace it before the first event. *)
+let unbound_ports =
+  let fail _ = assert false in
+  {
+    Behaviour.ix_peek = fail;
+    ix_pop = fail;
+    ix_push = fail;
+    ix_space = fail;
+    ix_has = fail;
+    ix_acquire = fail;
+    ix_release = fail;
+  }
 
 (* Placeholder for [sc_next] until a node is wired for scripted
    dispatch; its [sop = -1] routes any accidental use to the generic
@@ -277,16 +289,17 @@ let advance_script (rt : node_rt) (sc : scripted) =
     end
   end
 
-let find_port what (rt : node_rt) (a : (string * 'a) array) port =
-  let n = Array.length a in
-  let rec go i =
-    if i >= n then
-      Err.graphf "%s: no %s channel %S" rt.node.Graph.name what port
-    else
-      let name, c = a.(i) in
-      if String.equal name port then c else go (i + 1)
+(* A node's channels by port ordinal: inputs in spec declaration order,
+   each output's fan-out set likewise. [Graph.validate] has rejected any
+   unconnected input. *)
+let ordinals (rt : node_rt) =
+  let input port =
+    match Array.find_opt (fun (p, _) -> String.equal p port) rt.in_chans with
+    | Some (_, c) -> c
+    | None -> Err.graphf "%s: no input channel %S" rt.node.Graph.name port
   in
-  go 0
+  ( Array.of_list (List.map input (Spec.input_order rt.node.Graph.spec)),
+    Array.map snd rt.out_chans )
 
 (* ---- main engine ------------------------------------------------------ *)
 
@@ -383,12 +396,6 @@ let run ?(max_time_s = 300.) ?(max_events = 50_000_000) ?(pool = true)
     | Some p -> ((fun s -> Pool.acquire p s), fun img -> Pool.release p img)
     | None -> (Image.create, fun _ -> ())
   in
-  let dummy_io =
-    let fail _ = assert false in
-    { Behaviour.peek = fail; pop = fail; push = (fun _ _ -> assert false);
-      space = fail; acquire = fail; release = (fun _ -> assert false);
-      has_input = fail }
-  in
   let node_rts = Hashtbl.create 64 in
   let static_ids =
     if static_mode then Static_schedule.static_node_ids sched else []
@@ -432,7 +439,7 @@ let run ?(max_time_s = 300.) ?(max_events = 50_000_000) ?(pool = true)
           in_chans;
           out_chans;
           proc = Mapping.processor_of mapping n.Graph.id;
-          io = dummy_io;
+          ports = unbound_ports;
           cw_read = 0;
           cw_write = 0;
           cw_hop = 0;
@@ -680,14 +687,14 @@ let run ?(max_time_s = 300.) ?(max_events = 50_000_000) ?(pool = true)
       f ~time_s:now.(0) ~chan_id:c.id ~node:rt.node ~proc:rt.proc ~event:ev
         ~depth:(Ring.length c.ring)
   in
-  (* Per-node IO, built exactly once; the word counters live on the node
-     and are reset before each attempt. *)
+  (* Per-node ports, built exactly once; the word counters live on the
+     node and are reset before each attempt. *)
   let hop_cycles_per_word =
     match placement with
     | Some p -> p.hop_cycles_per_word
     | None -> 0.
   in
-  let build_io (rt : node_rt) =
+  let build_ports (rt : node_rt) =
     (* Role tests hoisted out of the per-item path: a polymorphic [=] on
        the role variant per push/pop walks the generic comparator. *)
     let is_sink =
@@ -698,16 +705,15 @@ let run ?(max_time_s = 300.) ?(max_events = 50_000_000) ?(pool = true)
       | Spec.Source -> true
       | _ -> false
     in
+    let ix_in, ix_out = ordinals rt in
     {
-      Behaviour.peek =
-        (fun port ->
-          let c = find_port "input" rt rt.in_chans port in
-          if Ring.is_empty c.ring then None else Some (Ring.peek c.ring));
-      pop =
-        (fun port ->
-          let c = find_port "input" rt rt.in_chans port in
+      Behaviour.ix_peek = (fun s -> Ring.peek ix_in.(s).ring);
+      ix_pop =
+        (fun s ->
+          let c = ix_in.(s) in
           if Ring.is_empty c.ring then
-            Err.graphf "%s: pop from empty input %S" rt.node.Graph.name port;
+            Err.graphf "%s: pop from empty input %S" rt.node.Graph.name
+              (List.nth (Spec.input_order rt.node.Graph.spec) s);
           let item = Ring.pop c.ring in
           rt.cw_read <- rt.cw_read + Item.words item;
           if is_sink then begin
@@ -725,8 +731,8 @@ let run ?(max_time_s = 300.) ?(max_events = 50_000_000) ?(pool = true)
           if chan_observing then on_chan rt c Ch_pop;
           mark_producer c;
           item);
-      push =
-        (fun port item ->
+      ix_push =
+        (fun s item ->
           (* Frame tagging: a timed source's first data push after start or
              after an end-of-frame token is the birth of the next frame. *)
           if is_source then begin
@@ -741,12 +747,12 @@ let run ?(max_time_s = 300.) ?(max_events = 50_000_000) ?(pool = true)
               rt.fb_pending <- true
             | Item.Ctl _ -> ()
           end;
-          let cs = find_port "output" rt rt.out_chans port in
+          let cs = ix_out.(s) in
           for i = 0 to Array.length cs - 1 do
             let c = cs.(i) in
             if Ring.is_full c.ring then
               Err.graphf "%s: push to full channel on %S" rt.node.Graph.name
-                port;
+                (fst rt.out_chans.(s));
             (* Fan-out under pooling: each channel's consumer will own
                (and eventually release) its chunk, so channels beyond the
                first receive pool-backed copies — sharing one physical
@@ -771,14 +777,9 @@ let run ?(max_time_s = 300.) ?(max_events = 50_000_000) ?(pool = true)
             if chan_observing then on_chan rt c Ch_push;
             mark_consumer c
           done);
-      acquire = acquire_chunk;
-      release = release_chunk;
-      has_input =
-        (fun port ->
-          not (Ring.is_empty (find_port "input" rt rt.in_chans port).ring));
-      space =
-        (fun port ->
-          let cs = find_port "output" rt rt.out_chans port in
+      ix_space =
+        (fun s ->
+          let cs = ix_out.(s) in
           let n = Array.length cs in
           if n = 0 then max_int
           else begin
@@ -795,81 +796,15 @@ let run ?(max_time_s = 300.) ?(max_events = 50_000_000) ?(pool = true)
             done;
             !acc
           end);
-    }
-  in
-  Hashtbl.iter (fun _ rt -> rt.io <- build_io rt) node_rts;
-  (* Scripted-dispatch wiring (quasi-static mode): compile each static
-     node's resolved firing table against its channel bindings, so synced
-     kernels fire through {!Behaviour.indexed} with no port-name lookup.
-     The slot-indexed io repeats [build_io]'s bookkeeping operation for
-     operation minus the sink/source/observer branches — static-region
-     members are never sinks or sources, and observers disable static
-     mode outright. *)
-  let null_chan =
-    {
-      id = -1;
-      ring = Ring.create ~capacity:1 ~dummy:dummy_item;
-      hops = 0;
-      max_depth = 0;
-      producer = P_none;
-      consumer = P_none;
-      c_src = None;
-      c_dst = None;
-    }
-  in
-  let build_ports (rt : node_rt) (ix_in : chan_rt array)
-      (ix_out : chan_rt array array) =
-    {
-      Behaviour.ix_peek = (fun s -> Ring.peek ix_in.(s).ring);
-      ix_pop =
-        (fun s ->
-          let c = ix_in.(s) in
-          let item = Ring.pop c.ring in
-          rt.cw_read <- rt.cw_read + Item.words item;
-          mark_producer c;
-          item);
-      ix_push =
-        (fun s item ->
-          let cs = ix_out.(s) in
-          for i = 0 to Array.length cs - 1 do
-            let c = cs.(i) in
-            (* Fan-out under pooling: pool-backed copies beyond channel 0,
-               exactly as [build_io.push]. *)
-            let item =
-              if i = 0 || not pool then item
-              else
-                match item with
-                | Item.Data img ->
-                  let d = acquire_chunk (Image.size img) in
-                  Image.blit ~src:img ~dst:d ~x:0 ~y:0;
-                  Item.data d
-                | Item.Ctl _ -> item
-            in
-            Ring.push c.ring item;
-            let depth = Ring.length c.ring in
-            if depth > c.max_depth then c.max_depth <- depth;
-            rt.cw_write <- rt.cw_write + Item.words item;
-            rt.cw_hop <- rt.cw_hop + (c.hops * Item.words item);
-            mark_consumer c
-          done);
-      ix_space =
-        (fun s ->
-          let cs = ix_out.(s) in
-          let n = Array.length cs in
-          if n = 0 then max_int
-          else begin
-            let acc = ref max_int in
-            for i = 0 to n - 1 do
-              let free = Ring.space cs.(i).ring in
-              if free < !acc then acc := free
-            done;
-            !acc
-          end);
       ix_has = (fun s -> not (Ring.is_empty ix_in.(s).ring));
       ix_acquire = acquire_chunk;
       ix_release = release_chunk;
     }
   in
+  Hashtbl.iter (fun _ rt -> rt.ports <- build_ports rt) node_rts;
+  (* Scripted-dispatch wiring (quasi-static mode): compile each static
+     node's resolved firing table against its channel bindings, so synced
+     kernels fire through {!Behaviour.indexed} with no name lookup. *)
   if static_mode then
     List.iter
       (fun id ->
@@ -878,28 +813,7 @@ let run ?(max_time_s = 300.) ?(max_events = 50_000_000) ?(pool = true)
           (rt.behaviour.Behaviour.indexed, Static_schedule.table sched id)
         with
         | Some ix, Some tbl ->
-          let spec = rt.node.Graph.spec in
-          let ix_in =
-            Array.of_list
-              (List.map
-                 (fun name ->
-                   (* An unconnected input never appears in a recorded
-                      entry; the shared placeholder keeps the array dense. *)
-                   match
-                     Array.find_opt
-                       (fun (n, _) -> String.equal n name)
-                       rt.in_chans
-                   with
-                   | Some (_, c) -> c
-                   | None -> null_chan)
-                 (Spec.input_order spec))
-          in
-          let ix_out =
-            Array.of_list
-              (List.map
-                 (fun name -> find_port "output" rt rt.out_chans name)
-                 (Spec.output_order spec))
-          in
+          let ix_in, ix_out = ordinals rt in
           let compile (e : Static_schedule.entry) =
             let op =
               ix.Behaviour.op_of ~method_name:e.Static_schedule.e_method
@@ -1004,7 +918,6 @@ let run ?(max_time_s = 300.) ?(max_events = 50_000_000) ?(pool = true)
           let per_segs, per_runs = segments tbl.Static_schedule.t_period in
           let sc =
             {
-              sc_ports = build_ports rt ix_in ix_out;
               sc_fire = ix.Behaviour.fire_indexed;
               sc_pre_segs = pre_segs;
               sc_pre_runs = pre_runs;
@@ -1051,7 +964,7 @@ let run ?(max_time_s = 300.) ?(max_events = 50_000_000) ?(pool = true)
     rt.cw_write <- 0;
     rt.cw_hop <- 0;
     rt.cw_full_out <- -1;
-    match rt.behaviour.Behaviour.try_step rt.io with
+    match rt.behaviour.Behaviour.try_step rt.ports with
     | None -> None
     | Some f as fired ->
       rt.rt_fires <- rt.rt_fires + 1;
@@ -1182,7 +1095,7 @@ let run ?(max_time_s = 300.) ?(max_events = 50_000_000) ?(pool = true)
         rt.cw_write <- 0;
         rt.cw_hop <- 0;
         rt.cw_full_out <- -1;
-        match sc.sc_fire sc.sc_ports e.sop with
+        match sc.sc_fire rt.ports e.sop with
         | Some _ as fired ->
           rt.sc_run_left <- rt.sc_run_left - 1;
           rt.rt_fires <- rt.rt_fires + 1;
@@ -1202,7 +1115,7 @@ let run ?(max_time_s = 300.) ?(max_events = 50_000_000) ?(pool = true)
           rt.cw_write <- 0;
           rt.cw_hop <- 0;
           rt.cw_full_out <- -1;
-          match sc.sc_fire sc.sc_ports e.sop with
+          match sc.sc_fire rt.ports e.sop with
           | Some _ as fired ->
             rt.sc_run_left <- k - 1;
             rt.rt_fires <- rt.rt_fires + 1;
@@ -1213,10 +1126,8 @@ let run ?(max_time_s = 300.) ?(max_events = 50_000_000) ?(pool = true)
             fired
           | None -> step_node rt
         end
-        else if k < 0 && not state_observing then
-          (* Proven decline: skip the generic examination outright. (With
-             a state observer installed the generic decline still runs —
-             its [cw_full_out] classifies the blocked state.) *)
+        else if k < 0 then
+          (* Proven decline: skip the generic examination outright. *)
           None
         else step_node rt
       end
@@ -1343,7 +1254,7 @@ let run ?(max_time_s = 300.) ?(max_events = 50_000_000) ?(pool = true)
 
      - the scripted guard: a synced node's next table entry is blocked
        on an input or an output ([guard_k] verdict [-1]) — cheaper than
-       the behaviour oracle (direct ring reads, no string-keyed io) and
+       the behaviour oracle (direct ring reads, no rule table walk) and
        strictly stronger, since it also proves output-blocked declines;
      - the behaviour's own [starved] oracle, as before, for unscripted
        kernels and unproven guard verdicts.
@@ -1358,7 +1269,7 @@ let run ?(max_time_s = 300.) ?(max_events = 50_000_000) ?(pool = true)
         | Some st ->
           Some
             (fun () ->
-              if st rt.io then begin
+              if st rt.ports then begin
                 rt.sc_blocked <- 3;
                 true
               end

@@ -104,11 +104,11 @@ type result = {
           total fires, summed over [node_stats]). *)
   static_indexed_fired : int;
       (** Of [static_fired], the firings dispatched through the
-          slot-indexed ABI ({!Bp_kernel.Behaviour.indexed}) — zero name
-          hashing, zero per-firing closure allocation. The remainder went
-          through the generic string-keyed path (kernels without indexed
-          support, entries the guard could not prove, or re-checks that
-          declined). *)
+          slot-indexed ABI ({!Bp_kernel.Behaviour.indexed}) — no search
+          of the rule table, zero per-firing closure allocation.
+          The remainder went through the generic [try_step] (kernels
+          without indexed support, entries the guard could not prove, or
+          re-checks that declined). *)
   static_fallback_events : int;
       (** Runtime table desyncs: firings whose method diverged from the
           table, dropping their kernel to event-driven accounting for the

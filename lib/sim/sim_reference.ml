@@ -24,8 +24,8 @@ type chan_rt = {
 type node_rt = {
   node : Graph.node;
   behaviour : Behaviour.t;
-  in_chans : (string * chan_rt) list;
-  out_chans : (string * chan_rt list) list;
+  in_chans : (string * chan_rt) list;  (* by input ordinal *)
+  out_chans : (string * chan_rt list) list;  (* by output ordinal *)
   proc : int option;
   mutable rt_fires : int;
   mutable rt_busy : float;
@@ -53,26 +53,15 @@ type source_rt = {
 
 type event = Source_slot of source_rt | Const_emit of node_rt | Proc_free of int
 
-let make_io (rt : node_rt) ~read_words ~write_words ~hop_words ~on_pop
+let make_ports (rt : node_rt) ~read_words ~write_words ~hop_words ~on_pop
     ~on_push ~on_chan =
-  let find_in port =
-    match List.assoc_opt port rt.in_chans with
-    | Some c -> c
-    | None -> Err.graphf "%s: no input channel %S" rt.node.Graph.name port
-  in
-  let find_outs port =
-    match List.assoc_opt port rt.out_chans with
-    | Some cs -> cs
-    | None -> Err.graphf "%s: no output channel %S" rt.node.Graph.name port
-  in
+  let input s = List.nth rt.in_chans s in
+  let output s = List.nth rt.out_chans s in
   {
-    Behaviour.peek =
-      (fun port ->
-        let c = find_in port in
-        if Queue.is_empty c.queue then None else Some (Queue.peek c.queue));
-    pop =
-      (fun port ->
-        let c = find_in port in
+    Behaviour.ix_peek = (fun s -> Queue.peek (snd (input s)).queue);
+    ix_pop =
+      (fun s ->
+        let port, c = input s in
         if Queue.is_empty c.queue then
           Err.graphf "%s: pop from empty input %S" rt.node.Graph.name port;
         let item = Queue.pop c.queue in
@@ -80,10 +69,10 @@ let make_io (rt : node_rt) ~read_words ~write_words ~hop_words ~on_pop
         on_pop item;
         on_chan c Sim.Ch_pop;
         item);
-    push =
-      (fun port item ->
+    ix_push =
+      (fun s item ->
         on_push item;
-        let cs = find_outs port in
+        let port, cs = output s in
         List.iter
           (fun c ->
             if Queue.length c.queue >= c.capacity then
@@ -96,16 +85,9 @@ let make_io (rt : node_rt) ~read_words ~write_words ~hop_words ~on_pop
             hop_words := !hop_words + (c.hops * Item.words item);
             on_chan c Sim.Ch_push)
           cs);
-    (* Allocation-naive data plane, on purpose: acquires are plain
-       allocations and releases are dropped, preserving the seed engine's
-       behavior exactly. The pooled engine is held bit-identical to this
-       by the suite-wide differential. *)
-    acquire = Bp_image.Image.create;
-    release = (fun _ -> ());
-    has_input = (fun port -> not (Queue.is_empty (find_in port).queue));
-    space =
-      (fun port ->
-        match find_outs port with
+    ix_space =
+      (fun s ->
+        match snd (output s) with
         | [] -> max_int
         | cs ->
           List.fold_left
@@ -114,6 +96,13 @@ let make_io (rt : node_rt) ~read_words ~write_words ~hop_words ~on_pop
               if free <= 0 then on_chan c Sim.Ch_block;
               min acc free)
             max_int cs);
+    ix_has = (fun s -> not (Queue.is_empty (snd (input s)).queue));
+    (* Allocation-naive data plane, on purpose: acquires are plain
+       allocations and releases are dropped, preserving the seed engine's
+       behavior exactly. The pooled engine is held bit-identical to this
+       by the suite-wide differential. *)
+    ix_acquire = Bp_image.Image.create;
+    ix_release = (fun _ -> ());
   }
 
 let run ?(max_time_s = 300.) ?(max_events = 50_000_000) ?placement
@@ -150,11 +139,16 @@ let run ?(max_time_s = 300.) ?(max_events = 50_000_000) ?placement
   let node_rts = Hashtbl.create 64 in
   List.iter
     (fun (n : Graph.node) ->
-      let in_chans =
+      let bound =
         List.map
           (fun (c : Graph.channel) ->
             (c.Graph.dst.Graph.port, chan_rt c.Graph.chan_id))
           (Graph.in_channels g n.Graph.id)
+      in
+      let in_chans =
+        List.map
+          (fun port -> (port, List.assoc port bound))
+          (Spec.input_order n.Graph.spec)
       in
       let out_chans =
         List.map
@@ -251,10 +245,11 @@ let run ?(max_time_s = 300.) ?(max_events = 50_000_000) ?placement
             Hashtbl.find frame_pending rt.node.Graph.id := true
       end
     in
-    let io =
-      make_io rt ~read_words ~write_words ~hop_words ~on_pop ~on_push ~on_chan
+    let ports =
+      make_ports rt ~read_words ~write_words ~hop_words ~on_pop ~on_push
+        ~on_chan
     in
-    match rt.behaviour.Behaviour.try_step io with
+    match rt.behaviour.Behaviour.try_step ports with
     | None -> None
     | Some fired ->
       let read_s = Machine.read_time_s pe ~words:!read_words in

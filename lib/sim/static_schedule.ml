@@ -129,71 +129,76 @@ let record ?(max_firings = 5_000_000) g =
   let firings : (Graph.node_id, entry list ref) Hashtbl.t =
     Hashtbl.create 16
   in
-  (* Per-node untimed stepper: behaviour + recording io. *)
+  (* Per-node untimed stepper: behaviour + recording ports. *)
   let steppers =
     List.filter_map
       (fun (n : Graph.node) ->
         if n.Graph.spec.Spec.role = Spec.Sink then None
         else begin
-          let in_chans =
-            List.map
-              (fun (c : Graph.channel) ->
-                (c.Graph.dst.Graph.port, chan c.Graph.chan_id))
-              (Graph.in_channels g n.Graph.id)
+          (* Channels by port ordinal, bound once. *)
+          let bound = Graph.in_channels g n.Graph.id in
+          let ins =
+            Array.of_list
+              (List.map
+                 (fun port ->
+                   match
+                     List.find_opt
+                       (fun (c : Graph.channel) ->
+                         String.equal c.Graph.dst.Graph.port port)
+                       bound
+                   with
+                   | Some c -> chan c.Graph.chan_id
+                   | None ->
+                     Err.graphf "schedule recorder: %s: no input channel %S"
+                       n.Graph.name port)
+                 (Spec.input_order n.Graph.spec))
           in
-          let out_chans =
-            List.map
-              (fun (p : Bp_kernel.Port.t) ->
-                ( p.Bp_kernel.Port.name,
-                  List.map
-                    (fun (c : Graph.channel) -> chan c.Graph.chan_id)
-                    (Graph.out_channels g n.Graph.id
-                       ~port:p.Bp_kernel.Port.name ()) ))
-              n.Graph.spec.Spec.outputs
-          in
-          let find what l port =
-            match List.assoc_opt port l with
-            | Some c -> c
-            | None ->
-              Err.graphf "schedule recorder: %s: no %s channel %S"
-                n.Graph.name what port
+          let outs =
+            Array.of_list
+              (List.map
+                 (fun port ->
+                   List.map
+                     (fun (c : Graph.channel) -> chan c.Graph.chan_id)
+                     (Graph.out_channels g n.Graph.id ~port ()))
+                 (Spec.output_order n.Graph.spec))
           in
           let pops = ref [] and pushes = ref [] in
-          let io =
+          let ports =
             {
-              Behaviour.peek =
-                (fun port ->
-                  Queue.peek_opt (find "input" in_chans port).rc_q);
-              pop =
-                (fun port ->
-                  let c = find "input" in_chans port in
+              Behaviour.ix_peek = (fun s -> Queue.peek ins.(s).rc_q);
+              ix_pop =
+                (fun s ->
+                  let c = ins.(s) in
+                  if Queue.is_empty c.rc_q then
+                    Err.graphf "schedule recorder: %s: pop from empty input %S"
+                      n.Graph.name
+                      (List.nth (Spec.input_order n.Graph.spec) s);
                   let item = Queue.pop c.rc_q in
                   pops := (c.rc_id, kind_of_item item) :: !pops;
                   item);
-              push =
-                (fun port item ->
+              ix_push =
+                (fun s item ->
                   List.iter
                     (fun c ->
                       if Queue.length c.rc_q >= c.rc_cap then
                         Err.graphf
                           "schedule recorder: %s: push past capacity on %S"
-                          n.Graph.name port;
+                          n.Graph.name
+                          (List.nth (Spec.output_order n.Graph.spec) s);
                       Queue.push item c.rc_q;
                       pushes := (c.rc_id, kind_of_item item) :: !pushes)
-                    (find "output" out_chans port));
-              space =
-                (fun port ->
-                  match find "output" out_chans port with
+                    outs.(s));
+              ix_space =
+                (fun s ->
+                  match outs.(s) with
                   | [] -> max_int
                   | cs ->
                     List.fold_left
                       (fun acc c -> min acc (c.rc_cap - Queue.length c.rc_q))
                       max_int cs);
-              acquire = Image.create;
-              release = (fun _ -> ());
-              has_input =
-                (fun port ->
-                  not (Queue.is_empty (find "input" in_chans port).rc_q));
+              ix_has = (fun s -> not (Queue.is_empty ins.(s).rc_q));
+              ix_acquire = Image.create;
+              ix_release = (fun _ -> ());
             }
           in
           let behaviour = n.Graph.spec.Spec.make_behaviour () in
@@ -202,7 +207,7 @@ let record ?(max_firings = 5_000_000) g =
           let step () =
             pops := [];
             pushes := [];
-            match behaviour.Behaviour.try_step io with
+            match behaviour.Behaviour.try_step ports with
             | None -> false
             | Some f ->
               incr total;

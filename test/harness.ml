@@ -6,7 +6,7 @@ open Block_parallel
 (* ---- single-kernel bench ---------------------------------------------- *)
 
 type bench = {
-  io : Behaviour.io;
+  ports : Behaviour.ports;
   behaviour : Behaviour.t;
   feed : string -> Item.t -> unit;  (* append to an input queue *)
   out : string -> Item.t list;  (* drain an output queue *)
@@ -16,43 +16,36 @@ type bench = {
 }
 
 let bench ?(capacity = 1024) (spec : Kernel.t) =
-  let in_queues = Hashtbl.create 8 and out_queues = Hashtbl.create 8 in
-  List.iter
-    (fun (p : Port.t) -> Hashtbl.replace in_queues p.Port.name (Queue.create ()))
-    spec.Kernel.inputs;
-  List.iter
-    (fun (p : Port.t) -> Hashtbl.replace out_queues p.Port.name (Queue.create ()))
-    spec.Kernel.outputs;
-  let in_q name =
-    match Hashtbl.find_opt in_queues name with
-    | Some q -> q
-    | None -> Alcotest.failf "bench: no input %s" name
+  (* One queue per port, in spec declaration order: the port ordinals. *)
+  let queues ports =
+    List.map (fun (p : Port.t) -> (p.Port.name, Queue.create ())) ports
   in
-  let out_q name =
-    match Hashtbl.find_opt out_queues name with
+  let ins = queues spec.Kernel.inputs and outs = queues spec.Kernel.outputs in
+  let find what qs name =
+    match List.assoc_opt name qs with
     | Some q -> q
-    | None -> Alcotest.failf "bench: no output %s" name
+    | None -> Alcotest.failf "bench: no %s %s" what name
   in
-  let io =
+  let in_q = find "input" ins and out_q = find "output" outs in
+  let in_a = Array.of_list (List.map snd ins)
+  and out_a = Array.of_list (List.map snd outs) in
+  let ports =
     {
-      Behaviour.peek =
-        (fun name ->
-          let q = in_q name in
-          if Queue.is_empty q then None else Some (Queue.peek q));
-      pop = (fun name -> Queue.pop (in_q name));
-      push = (fun name item -> Queue.push item (out_q name));
-      space = (fun name -> capacity - Queue.length (out_q name));
-      (* Allocation-naive io: the bench harness exercises behaviours
+      Behaviour.ix_peek = (fun i -> Queue.peek in_a.(i));
+      ix_pop = (fun i -> Queue.pop in_a.(i));
+      ix_push = (fun j item -> Queue.push item out_a.(j));
+      ix_space = (fun j -> capacity - Queue.length out_a.(j));
+      ix_has = (fun i -> not (Queue.is_empty in_a.(i)));
+      (* Allocation-naive ports: the bench harness exercises behaviours
          outside any engine, so releases are dropped. *)
-      acquire = Image.create;
-      release = ignore;
-      has_input = (fun name -> not (Queue.is_empty (in_q name)));
+      ix_acquire = Image.create;
+      ix_release = ignore;
     }
   in
   let behaviour = spec.Kernel.make_behaviour () in
   let drain q = List.of_seq (Queue.to_seq q) in
   {
-    io;
+    ports;
     behaviour;
     feed = (fun name item -> Queue.push item (in_q name));
     out =
@@ -62,11 +55,11 @@ let bench ?(capacity = 1024) (spec : Kernel.t) =
         Queue.clear q;
         items);
     out_peek = (fun name -> drain (out_q name));
-    step = (fun () -> behaviour.Behaviour.try_step io);
+    step = (fun () -> behaviour.Behaviour.try_step ports);
     run_to_idle =
       (fun () ->
         let rec go n =
-          match behaviour.Behaviour.try_step io with
+          match behaviour.Behaviour.try_step ports with
           | Some _ -> go (n + 1)
           | None -> n
         in

@@ -76,6 +76,7 @@ let test_needs_buffer_downsample () =
          ~make_behaviour:(fun () ->
            Behaviour.iteration_kernel ~methods
              ~run:(fun _ ~alloc:_ inputs -> [ ("out", List.assoc "in" inputs) ])
+             ~port_order:([ "in" ], [ "out" ])
              ())
          ())
   in
@@ -369,6 +370,7 @@ let test_user_token_budgets () =
       ~make_behaviour:(fun () ->
         Behaviour.iteration_kernel ~methods
           ~run:(fun _ ~alloc:_ inputs -> [ ("out", List.assoc "in" inputs) ])
+          ~port_order:([ "in" ], [ "out" ])
           ())
       ()
   in

@@ -200,7 +200,9 @@ let test_wrapper_undeclared_output_rejected () =
       ~outputs:[ Port.output "out" Window.pixel ]
       ~methods
       ~make_behaviour:(fun () ->
-        Behaviour.iteration_kernel ~methods ~run:rogue ())
+        Behaviour.iteration_kernel ~methods ~run:rogue
+          ~port_order:([ "in" ], [ "out" ])
+          ())
       ()
   in
   let b = bench spec in

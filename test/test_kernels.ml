@@ -590,21 +590,6 @@ let side_push s j item =
 
 let side_space s j = s.cap.(j) - Queue.length s.outq.(j)
 
-let side_io (spec : Kernel.t) s =
-  let i = Kernel.input_ordinal spec and o = Kernel.output_ordinal spec in
-  {
-    Behaviour.peek =
-      (fun n ->
-        let q = s.inq.(i n) in
-        if Queue.is_empty q then None else Some (Queue.peek q));
-    pop = (fun n -> side_pop s (i n));
-    push = (fun n item -> side_push s (o n) item);
-    space = (fun n -> side_space s (o n));
-    acquire = Image.create;
-    release = ignore;
-    has_input = (fun n -> not (Queue.is_empty s.inq.(i n)));
-  }
-
 let side_ports s =
   {
     Behaviour.ix_peek = (fun i -> Queue.peek s.inq.(i));
@@ -656,8 +641,7 @@ let check_contract ?(data_only = fun _ -> false) (spec : Kernel.t) seed =
   and n_out = List.length spec.Kernel.outputs in
   let cap = Array.init n_out (fun _ -> 1 + Prng.int rng 4) in
   let a = side spec cap and b = side spec cap in
-  let io_a = side_io spec a and io_b = side_io spec b in
-  let ports_b = side_ports b in
+  let ports_a = side_ports a and ports_b = side_ports b in
   let indexed = ref 0 in
   let attempt () =
     a.popped <- [];
@@ -665,9 +649,9 @@ let check_contract ?(data_only = fun _ -> false) (spec : Kernel.t) seed =
     b.popped <- [];
     b.pushed <- [];
     let starved =
-      match a.beh.Behaviour.starved with Some st -> st io_a | None -> false
+      match a.beh.Behaviour.starved with Some st -> st ports_a | None -> false
     in
-    match a.beh.Behaviour.try_step io_a with
+    match a.beh.Behaviour.try_step ports_a with
     | None -> ()
     | Some f ->
       if starved then
@@ -683,7 +667,7 @@ let check_contract ?(data_only = fun _ -> false) (spec : Kernel.t) seed =
             ~pushes
       in
       let g =
-        if op < 0 then b.beh.Behaviour.try_step io_b
+        if op < 0 then b.beh.Behaviour.try_step ports_b
         else begin
           let ix = Option.get b.beh.Behaviour.indexed in
           Array.iter

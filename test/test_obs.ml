@@ -753,7 +753,10 @@ let bottleneck_fixture () =
       ~inputs:[ Port.input "in" Window.pixel ]
       ~outputs:[ Port.output "out" Window.pixel ]
       ~methods
-      ~make_behaviour:(fun () -> Behaviour.iteration_kernel ~methods ~run ())
+      ~make_behaviour:(fun () ->
+        Behaviour.iteration_kernel ~methods ~run
+          ~port_order:([ "in" ], [ "out" ])
+          ())
       ()
   in
   let g = Graph.create () in

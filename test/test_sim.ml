@@ -132,6 +132,7 @@ let test_overload_reports_stalls () =
       ~make_behaviour:(fun () ->
         Behaviour.iteration_kernel ~methods
           ~run:(fun _ ~alloc:_ inputs -> [ ("out", List.assoc "in" inputs) ])
+          ~port_order:([ "in" ], [ "out" ])
           ())
       ()
   in
@@ -477,4 +478,103 @@ let suite =
       Alcotest.test_case "sim: max events cap" `Quick test_max_events_cap;
       Alcotest.test_case "pipeline: PE budget exceeded" `Quick
         test_pe_budget_exceeded;
+    ]
+
+(* ---- kernels that break the ports contract ----------------------------
+
+   A kernel pops only inputs with a front and pushes only into checked
+   space. Every engine turns a breach into [Graph_malformed] naming the
+   node. The compiler's schedule pass replays every kernel untimed, so a
+   kernel that broke the contract from the start would fail the compile
+   (checked first); these kernels turn rogue only once [armed] is set,
+   after compiling. *)
+
+let rogue_spec ~name ~armed rogue =
+  let methods =
+    [ Method_spec.on_data ~name:"m" ~inputs:[ "in" ] ~outputs:[ "out" ] () ]
+  in
+  let run _m ~alloc:_ inputs = [ ("out", List.assoc "in" inputs) ] in
+  Kernel.v ~class_name:name
+    ~inputs:[ Port.input "in" Window.pixel ]
+    ~outputs:[ Port.output "out" Window.pixel ]
+    ~methods
+    ~make_behaviour:(fun () ->
+      if !armed then Behaviour.v rogue
+      else
+        Behaviour.iteration_kernel ~methods ~run
+          ~port_order:([ "in" ], [ "out" ])
+          ())
+    ()
+
+let rogue_fired = Some { Behaviour.method_name = "m"; cycles = 1 }
+
+(* Pops whether or not the input has a front. *)
+let pops_empty (p : Behaviour.ports) =
+  ignore (p.ix_pop 0);
+  rogue_fired
+
+(* Pushes every data item three times without asking for space, into a
+   channel of capacity 2. *)
+let pushes_full (p : Behaviour.ports) =
+  if not (p.ix_has 0) then None
+  else begin
+    let item = p.ix_pop 0 in
+    for _ = 1 to 3 do
+      p.ix_push 0 item
+    done;
+    rogue_fired
+  end
+
+let expect_malformed ~node what f =
+  match Err.guard f with
+  | Error (Err.Graph_malformed msg) ->
+    if not (contains msg node) then
+      Alcotest.failf "%s: error %S does not name %s" what msg node
+  | Error e -> Alcotest.failf "%s: wrong error %s" what (Err.to_string e)
+  | Ok _ -> Alcotest.failf "%s: no error raised" what
+
+let test_rogue_kernels () =
+  let frame = Size.v 4 3 in
+  let frames = Image.Gen.frame_sequence ~seed:2 frame 1 in
+  List.iter
+    (fun (node, rogue) ->
+      let armed = ref false in
+      let build () =
+        let g = Graph.create () in
+        let src =
+          Graph.add g
+            ~meta:(Graph.Source_meta { frame; rate = Rate.hz 50. })
+            (Source.spec ~frame ~frames ())
+        in
+        let k = Graph.add g ~name:node (rogue_spec ~name:node ~armed rogue) in
+        let sink =
+          Graph.add g (Sink.spec ~window:Window.pixel (Sink.collector ()) ())
+        in
+        Graph.connect g ~from:(src, "out") ~into:(k, "in");
+        Graph.connect g ~capacity:2 ~from:(k, "out") ~into:(sink, "in");
+        g
+      in
+      armed := true;
+      expect_malformed ~node "compile" (fun () ->
+          Pipeline.compile ~machine:Machine.default (build ()));
+      armed := false;
+      let plan = Pipeline.compile ~machine:Machine.default (build ()) in
+      armed := true;
+      List.iter
+        (fun static ->
+          expect_malformed ~node
+            (Printf.sprintf "run_plan ~static:%b" static)
+            (fun () -> Plan.run_plan ~static ~policy:Plan.One_to_one plan ()))
+        [ true; false ];
+      expect_malformed ~node "Sim_reference" (fun () ->
+          Sim_reference.run ~graph:plan.Plan.graph
+            ~mapping:(Plan.mapping plan ~policy:Plan.One_to_one)
+            ~machine:Machine.default ()))
+    [ ("Pops Empty", pops_empty); ("Pushes Full", pushes_full) ]
+
+let suite =
+  suite
+  @ [
+      Alcotest.test_case "sim: kernels breaking the ports contract" `Quick
+        test_rogue_kernels;
     ]

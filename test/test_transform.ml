@@ -187,6 +187,7 @@ let test_parallelize_serial_overload_rejected () =
       ~make_behaviour:(fun () ->
         Behaviour.iteration_kernel ~methods
           ~run:(fun _ ~alloc:_ inputs -> [ ("out", List.assoc "in" inputs) ])
+          ~port_order:([ "in" ], [ "out" ])
           ())
       ()
   in
@@ -217,6 +218,7 @@ let test_parallelize_memory_overflow_rejected () =
       ~make_behaviour:(fun () ->
         Behaviour.iteration_kernel ~methods
           ~run:(fun _ ~alloc:_ inputs -> [ ("out", List.assoc "in" inputs) ])
+          ~port_order:([ "in" ], [ "out" ])
           ())
       ()
   in
@@ -352,6 +354,7 @@ let heavy_unary ~name ~cycles f =
     ~make_behaviour:(fun () ->
       Behaviour.iteration_kernel ~methods
         ~run:(fun _ ~alloc:_ inputs -> [ ("out", Image.map f (List.assoc "in" inputs)) ])
+        ~port_order:([ "in" ], [ "out" ])
         ())
     ()
 

@@ -22,5 +22,6 @@ let () =
       ("domains", Test_domains.suite);
       ("report", Test_report.suite);
       ("obs", Test_obs.suite);
+      ("dispatch", Test_dispatch.suite);
       ("integration", Test_integration.suite);
     ]

@@ -106,6 +106,7 @@ let finalize t ~result =
     "sim.static.fallback_events";
   Metrics.incr t.m ~by:result.Sim.static_elided_events
     "sim.static.elided_events";
+  Metrics.incr t.m ~by:result.Sim.pe_visits "sim.dispatch.pe_visits";
   Array.iteri
     (fun p _ ->
       let busy = Option.value ~default:0. (Metrics.gauge t.m (pe_busy p)) in

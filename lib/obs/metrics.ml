@@ -125,12 +125,20 @@ type gc_snapshot = {
   gc_major_collections : int;
 }
 
+(* On OCaml 5, [Gc.quick_stat]'s word counts only advance when a minor
+   collection runs, and [Gc.counters]'s minor count misses the current
+   minor heap, so a short run can read 0: take the minor count from
+   [Gc.minor_words] and the promoted and major counts from [Gc.counters],
+   which are exact; only the collection counts come from the quick
+   stat. *)
 let gc_snapshot () =
+  let minor = Gc.minor_words () in
+  let _, promoted, major = Gc.counters () in
   let s = Gc.quick_stat () in
   {
-    gc_minor_words = s.Gc.minor_words;
-    gc_major_words = s.Gc.major_words;
-    gc_promoted_words = s.Gc.promoted_words;
+    gc_minor_words = minor;
+    gc_major_words = major;
+    gc_promoted_words = promoted;
     gc_minor_collections = s.Gc.minor_collections;
     gc_major_collections = s.Gc.major_collections;
   }

@@ -74,7 +74,9 @@ type gc_snapshot = {
   gc_minor_collections : int;
   gc_major_collections : int;
 }
-(** A point-in-time reading of [Gc.quick_stat] (cheap; no heap walk). *)
+(** A point-in-time reading of the GC counters (cheap; no heap walk).
+    The word counts are exact at the moment of the call, not as of the
+    last minor collection. *)
 
 val gc_snapshot : unit -> gc_snapshot
 

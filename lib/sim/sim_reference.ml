@@ -275,7 +275,9 @@ let run ?(max_time_s = 300.) ?(max_events = 50_000_000) ?placement
         (Graph.sinks g)
     done
   in
+  let pe_visits = ref 0 in
   let try_dispatch p =
+    incr pe_visits;
     let proc = procs.(p) in
     if proc.busy_until > !now +. 1e-15 then false
     else begin
@@ -454,6 +456,7 @@ let run ?(max_time_s = 300.) ?(max_events = 50_000_000) ?placement
         node_rts [];
     leftover_items;
     events_processed = !processed;
+    pe_visits = !pe_visits;
     timed_out = !timed_out;
     pool = None;
     (* The reference engine is always fully event-driven. *)

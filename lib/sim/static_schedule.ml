@@ -91,6 +91,8 @@ type rec_chan = {
   rc_id : int;
   rc_cap : int;
   rc_q : Item.t Queue.t;
+  rc_producer : int;  (* stepper index of the pushing node, or -1 *)
+  rc_consumer : int;  (* stepper index of the popping node; -1 for sinks *)
 }
 
 let entry_equal a b =
@@ -113,18 +115,36 @@ let segment_at_eof entries =
   List.rev !segs
 
 let record ?(max_firings = 5_000_000) g =
+  let nodes =
+    List.sort (fun (a : Graph.node) b -> compare a.Graph.id b.Graph.id)
+      (Graph.nodes g)
+  in
+  (* Every node but the sinks gets a stepper, in ascending node id. *)
+  let stepper_index = Hashtbl.create 64 in
+  List.iter
+    (fun (n : Graph.node) ->
+      if n.Graph.spec.Spec.role <> Spec.Sink then
+        Hashtbl.replace stepper_index n.Graph.id
+          (Hashtbl.length stepper_index))
+    nodes;
+  let index_of id =
+    Option.value ~default:(-1) (Hashtbl.find_opt stepper_index id)
+  in
   let chans = Hashtbl.create 64 in
   List.iter
     (fun (c : Graph.channel) ->
       Hashtbl.replace chans c.Graph.chan_id
         { rc_id = c.Graph.chan_id; rc_cap = c.Graph.capacity;
-          rc_q = Queue.create () })
+          rc_q = Queue.create ();
+          rc_producer = index_of c.Graph.src.Graph.node;
+          rc_consumer = index_of c.Graph.dst.Graph.node })
     (Graph.channels g);
   let chan id = Hashtbl.find chans id in
-  let nodes =
-    List.sort (fun (a : Graph.node) b -> compare a.Graph.id b.Graph.id)
-      (Graph.nodes g)
-  in
+  (* Steppers whose adjacent channels changed since their last turn
+     ended; a turn ends with a declined attempt, which mutates nothing,
+     so an unmarked stepper would decline again. All start marked. *)
+  let marked = Array.make (Hashtbl.length stepper_index) true in
+  let mark i = if i >= 0 then marked.(i) <- true in
   let total = ref 0 and truncated = ref false in
   let firings : (Graph.node_id, entry list ref) Hashtbl.t =
     Hashtbl.create 16
@@ -175,6 +195,7 @@ let record ?(max_firings = 5_000_000) g =
                       (List.nth (Spec.input_order n.Graph.spec) s);
                   let item = Queue.pop c.rc_q in
                   pops := (c.rc_id, kind_of_item item) :: !pops;
+                  mark c.rc_producer;
                   item);
               ix_push =
                 (fun s item ->
@@ -186,7 +207,8 @@ let record ?(max_firings = 5_000_000) g =
                           n.Graph.name
                           (List.nth (Spec.output_order n.Graph.spec) s);
                       Queue.push item c.rc_q;
-                      pushes := (c.rc_id, kind_of_item item) :: !pushes)
+                      pushes := (c.rc_id, kind_of_item item) :: !pushes;
+                      mark c.rc_consumer)
                     outs.(s));
               ix_space =
                 (fun s ->
@@ -244,22 +266,28 @@ let record ?(max_firings = 5_000_000) g =
               List.fold_left
                 (fun acc c ->
                   let drained = Queue.length c.rc_q > 0 in
+                  if drained then mark c.rc_producer;
                   Queue.clear c.rc_q;
                   acc || drained)
                 false ins))
       nodes
   in
-  (* Round-robin to quiescence: each sweep gives every node a
-     fire-to-exhaustion turn (bounded queues keep any one turn finite). *)
+  (* Round-robin to quiescence: each sweep gives every marked node a
+     fire-to-exhaustion turn (bounded queues keep any one turn finite),
+     in ascending node id. The turn's final, declined attempt saw every
+     change the turn made, so the mark is cleared when the turn ends. *)
   let progress = ref true in
   while !progress && not !truncated do
     progress := false;
-    List.iter
-      (fun step ->
-        while (not !truncated) && step () do
-          progress := true;
-          if !total > max_firings then truncated := true
-        done)
+    List.iteri
+      (fun i step ->
+        if marked.(i) then begin
+          while (not !truncated) && step () do
+            progress := true;
+            if !total > max_firings then truncated := true
+          done;
+          marked.(i) <- false
+        end)
       steppers;
     List.iter (fun drain -> if drain () then progress := true) sink_drains
   done;

@@ -125,10 +125,19 @@ let minor_words_of f =
   let g1 = Metrics.gc_snapshot () in
   g1.Metrics.gc_minor_words -. g0.Metrics.gc_minor_words
 
+let allocated_words_of f =
+  let g0 = Metrics.gc_snapshot () in
+  f ();
+  let g1 = Metrics.gc_snapshot () in
+  Metrics.allocated_words ~before:g0 ~after:g1
+
 (* The data plane itself is where the ≥2× contract is enforced: a warm
    acquire/release cycle must allocate far less than a fresh Image.create
    of the same extent. (At the whole-simulator level the engine's fixed
-   per-event overhead dilutes this ratio — see docs/PERFORMANCE.md.) *)
+   per-event overhead dilutes this ratio — see docs/PERFORMANCE.md.)
+   Allocation is counted wherever it lands: a 32×32 image is too large
+   for the minor heap and goes straight to the major heap, so a
+   minor-words count would see only the fresh path's small headers. *)
 let test_pool_beats_fresh_allocation () =
   let s = Size.v 32 32 in
   let iters = 2_000 in
@@ -136,7 +145,7 @@ let test_pool_beats_fresh_allocation () =
   let warm = Pool.acquire p s in
   Pool.release p warm;
   let pooled =
-    minor_words_of (fun () ->
+    allocated_words_of (fun () ->
         for _ = 1 to iters do
           let img = Pool.acquire p s in
           Pool.release p img
@@ -144,15 +153,15 @@ let test_pool_beats_fresh_allocation () =
   in
   let sink = ref (Image.create Size.one) in
   let fresh =
-    minor_words_of (fun () ->
+    allocated_words_of (fun () ->
         for _ = 1 to iters do
           sink := Image.create s
         done)
   in
   if not (fresh >= 2. *. pooled) then
     Alcotest.failf
-      "pooled data plane not >=2x cheaper: pooled %.0f vs fresh %.0f minor \
-       words"
+      "pooled data plane not >=2x cheaper: pooled %.0f vs fresh %.0f \
+       allocated words"
       pooled fresh
 
 (* The pooled engine must stay within a hard allocation budget per event

@@ -123,7 +123,8 @@ val run_plan :
     installed; [~static:false] (`bpc simulate --no-static`) forces fully
     event-driven dispatch. Results are bit-identical either way —
     [events_processed] included, elided wakes are counted — except for
-    the [static_*] telemetry fields; see {!Bp_sim.Sim.run}. *)
+    the [static_*] telemetry fields and the [pe_visits] work count; see
+    {!Bp_sim.Sim.run}. *)
 
 val engine_mode :
   t -> static:bool -> observed:bool -> Bp_sim.Sim.result -> string
